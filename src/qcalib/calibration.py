@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, DatasetError, SplitSpec, Standardizer, split
+from .metrics import TauGrid
 from .projection import ProjectionMap, apply_projection
 from .quantile import BandwidthSearch, KernelConfig, QuantileEstimator, select_bandwidth
 from .regressors import FittedRegressor, RegressorSpec, fit_regressor, residuals
@@ -108,8 +109,8 @@ class CalibratedModel:
 
     def residual_quantile(self, x, tau: float) -> float:
         """Local tau-quantile of the calibration residuals at x."""
-        z = self.transform_features(np.asarray(x, dtype=float).reshape(1, -1))
-        return self.quantile_estimator.predict_quantile(z[0], tau)
+        row = np.asarray(x, dtype=float).reshape(1, -1)
+        return float(self.residual_quantile_batch(row, [tau])[0, 0])
 
     def residual_quantile_batch(self, xs, taus) -> np.ndarray:
         return self.quantile_estimator.predict_quantile_batch(
@@ -118,25 +119,20 @@ class CalibratedModel:
 
     def predict_quantile(self, x, tau: float) -> float:
         """Calibrated tau-quantile: base prediction plus residual quantile."""
-        x = np.asarray(x, dtype=float).reshape(1, -1)
-        base = float(self.regressor.predict(x)[0])
-        return base + self.residual_quantile(x, tau)
+        row = np.asarray(x, dtype=float).reshape(1, -1)
+        return float(self.predict_quantile_batch(row, [tau])[0, 0])
 
     def predict_quantile_batch(self, xs, taus) -> np.ndarray:
         """(n_queries, n_levels) matrix of calibrated quantiles."""
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim == 1:
-            xs = xs.reshape(1, -1) if self.input_dim > 1 else xs.reshape(-1, 1)
-        base = self.regressor.predict(xs)
-        return base[:, None] + self.residual_quantile_batch(xs, taus)
+        return self.regressor.predict(xs)[:, None] + self.residual_quantile_batch(xs, taus)
 
     def predict_interval(self, x, alpha: float) -> tuple[float, float]:
         """Central (1 - alpha) interval from the alpha/2 and 1 - alpha/2 quantiles."""
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-        lo = self.predict_quantile(x, alpha / 2.0)
-        hi = self.predict_quantile(x, 1.0 - alpha / 2.0)
-        return lo, hi
+        row = np.asarray(x, dtype=float).reshape(1, -1)
+        lo, hi = self.predict_quantile_batch(row, TauGrid([alpha / 2.0, 1.0 - alpha / 2.0]))[0]
+        return float(lo), float(hi)
 
 
 def calibrate(data: Dataset, cfg: CalibrationConfig) -> CalibratedModel:
@@ -303,6 +299,8 @@ def model_to_dict(model: CalibratedModel) -> dict:
 
 
 def model_from_dict(blob: dict) -> CalibratedModel:
+    if not isinstance(blob, dict):
+        raise DatasetError(f"not a {MODEL_FORMAT} document: expected a JSON object")
     if blob.get("format") != MODEL_FORMAT:
         raise DatasetError(f"not a {MODEL_FORMAT} document")
     if blob.get("version") != MODEL_VERSION:

@@ -42,11 +42,14 @@ class TauGrid:
 
     def __post_init__(self) -> None:
         levels = np.array(self.levels, dtype=float, copy=True).ravel()
-        if levels.size == 0:
+        # plain Python checks: grids are short, and a one- or two-level grid
+        # is built on every single-query call
+        values = levels.tolist()
+        if not values:
             raise ValueError("tau grid is empty")
-        if not ((levels > 0.0).all() and (levels < 1.0).all()):
+        if not all(0.0 < v < 1.0 for v in values):
             raise ValueError("quantile levels must lie strictly inside (0, 1)")
-        if levels.size > 1 and not (np.diff(levels) > 0).all():
+        if not all(a < b for a, b in zip(values, values[1:])):
             raise ValueError("quantile levels must be strictly increasing")
         levels.setflags(write=False)
         object.__setattr__(self, "levels", levels)

@@ -9,6 +9,10 @@ whose empirical CDF weight reaches the requested level. That element is also
 the smallest minimizer of the neighborhood's average pinball loss, which is
 what makes the closed form valid.
 
+Balls come from :mod:`qcalib.neighbors`, run over the points in value order
+(sorted once, at construction), so members arrive sorted and a quantile is a
+vectorized rank lookup. The single-query methods are batches of one.
+
 Bandwidth selection is K-fold cross-validation of the pinball loss over a
 candidate grid drawn from the quantiles of pairwise inter-point distances.
 """
@@ -21,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import TauGrid, default_tau_grid, pinball_loss
+from .neighbors import ball_members
 
 __all__ = [
     "BandwidthSearch",
@@ -31,39 +36,18 @@ __all__ = [
     "select_bandwidth",
 ]
 
-# distance-matrix entries held in memory per prediction block
-_BLOCK_BUDGET = 8_000_000
 
+def _left_quantile_ranks(counts: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """(len(counts), len(levels)) 0-based ranks of the left quantiles.
 
-def _check_tau_scalar(tau: float) -> float:
-    tau = float(tau)
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"quantile level must lie strictly inside (0, 1), got {tau}")
-    return tau
-
-
-def _as_levels(taus) -> np.ndarray:
-    if isinstance(taus, TauGrid):
-        return taus.levels
-    levels = np.asarray(taus, dtype=float).ravel()
-    if levels.size == 0:
-        raise ValueError("no quantile levels given")
-    if not ((levels > 0.0).all() and (levels < 1.0).all()):
-        raise ValueError("quantile levels must lie strictly inside (0, 1)")
-    if levels.size > 1 and not (np.diff(levels) > 0).all():
-        raise ValueError("quantile levels must be strictly increasing")
-    return levels
-
-
-def _left_quantile_index(m: int, taus):
-    """Index of the left tau-quantile in a sorted m-vector.
-
-    Smallest k with k/m >= tau, evaluated at float resolution: comparing the
-    cumulative fractions keeps exact-decimal levels honest, where a raw
-    ceil(tau * m) can overshoot by one ulp (e.g. tau=0.14, m=50).
+    For m sorted values: the smallest k with (k + 1) / m >= tau in floating
+    point, as a search of the cumulative fractions finds it. c = ceil(tau * m)
+    can be one off either way (0.14 * 50 rounds past 7), so the 1-based rank
+    is c - 1 plus one for each of (c - 1) / m and c / m still short of tau.
     """
-    cdf = np.arange(1, m + 1, dtype=float) / m
-    return np.searchsorted(cdf, taus, side="left")
+    m = counts.astype(float)[:, None]
+    c = np.ceil(levels * m)
+    return (c - 2.0 + ((c - 1.0) / m < levels) + (c / m < levels)).astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -96,7 +80,11 @@ class LocalNeighborhood:
 
 @dataclass(frozen=True)
 class QuantileEstimator:
-    """Stored calibration sample plus its kernel; see the module docstring."""
+    """Stored calibration sample plus its kernel; see the module docstring.
+
+    ``points`` and ``values`` stay verbatim; a private copy of both in stable
+    value order, never serialized, is what the kernel scans.
+    """
 
     points: np.ndarray  # (n, d)
     values: np.ndarray  # (n,)
@@ -119,10 +107,13 @@ class QuantileEstimator:
         values.setflags(write=False)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "values", values)
+        order = np.argsort(values, kind="stable")
+        object.__setattr__(self, "_points_by_value", points[order])
+        object.__setattr__(self, "_values_by_value", values[order])
 
     @classmethod
     def fit(cls, points, values, kernel: KernelConfig) -> "QuantileEstimator":
-        """Store the sample verbatim; no precomputation beyond validation."""
+        """Store the sample verbatim; the only precomputation is the value order."""
         return cls(points, values, kernel)
 
     @property
@@ -133,44 +124,7 @@ class QuantileEstimator:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def _check_query(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float).ravel()
-        if x.shape[0] != self.dim:
-            raise ValueError(f"query has {x.shape[0]} coordinates, expected {self.dim}")
-        if not np.isfinite(x).all():
-            raise ValueError("query must be finite")
-        return x
-
-    def neighborhood(self, x) -> LocalNeighborhood:
-        """Indices of stored points within the bandwidth of x (boundary included).
-
-        If fewer than ``min_neighbors`` qualify, the radius grows to the
-        ``min_neighbors``-th nearest distance, so the result is never empty.
-        """
-        x = self._check_query(x)
-        dists = np.sqrt(((self.points - x) ** 2).sum(axis=1))
-        h = self.kernel.bandwidth
-        inside = dists <= h
-        if int(inside.sum()) >= min(self.kernel.min_neighbors, dists.shape[0]):
-            return LocalNeighborhood(np.flatnonzero(inside), float(h))
-        k = min(self.kernel.min_neighbors, dists.shape[0])
-        eff = float(np.partition(dists, k - 1)[k - 1])
-        return LocalNeighborhood(np.flatnonzero(dists <= eff), eff)
-
-    def predict_quantile(self, x, tau: float) -> float:
-        """Left tau-quantile of the values in x's neighborhood."""
-        tau = _check_tau_scalar(tau)
-        nb = self.neighborhood(x)
-        vals = np.sort(self.values[nb.indices])
-        return float(vals[_left_quantile_index(vals.shape[0], tau)])
-
-    def predict_quantile_batch(self, xs, taus) -> np.ndarray:
-        """Quantiles for many queries over an increasing level grid.
-
-        Returns an (n_queries, n_levels) matrix; each row is nondecreasing
-        left to right and agrees elementwise with ``predict_quantile``.
-        """
-        levels = _as_levels(taus)
+    def _check_queries(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim == 1:
             xs = xs.reshape(-1, 1) if self.dim == 1 else xs.reshape(1, -1)
@@ -178,27 +132,44 @@ class QuantileEstimator:
             raise ValueError(f"queries must be (n, {self.dim})")
         if not np.isfinite(xs).all():
             raise ValueError("queries must be finite")
+        return xs
 
-        # one global value ordering; a sorted neighborhood is then a gather
-        order = np.argsort(self.values, kind="stable")
-        values_sorted = self.values[order]
-        h = self.kernel.bandwidth
-        k_min = min(self.kernel.min_neighbors, self.n_points)
+    def neighborhood(self, x) -> LocalNeighborhood:
+        """Indices of stored points within the bandwidth of x (boundary included).
 
+        If fewer than ``min_neighbors`` qualify, the radius grows to the
+        ``min_neighbors``-th nearest distance, so the result is never empty.
+        Indices ascend.
+        """
+        xs = self._check_queries(np.asarray(x, dtype=float).reshape(1, -1))
+        kernel = self.kernel
+        _, _, radii, members = next(
+            ball_members(xs, self.points, kernel.bandwidth, kernel.min_neighbors)
+        )
+        return LocalNeighborhood(members, float(radii[0]))
+
+    def predict_quantile(self, x, tau: float) -> float:
+        """Left tau-quantile of the values in x's neighborhood."""
+        row = np.asarray(x, dtype=float).reshape(1, -1)
+        return float(self.predict_quantile_batch(row, [tau])[0, 0])
+
+    def predict_quantile_batch(self, xs, taus) -> np.ndarray:
+        """Quantiles for many queries over an increasing level grid.
+
+        Returns an (n_queries, n_levels) matrix; each row is nondecreasing
+        left to right and agrees elementwise with ``predict_quantile``.
+        A :class:`TauGrid` is taken as already validated.
+        """
+        levels = taus.levels if isinstance(taus, TauGrid) else TauGrid(taus).levels
+        xs = self._check_queries(xs)
+        kernel = self.kernel
         out = np.empty((xs.shape[0], levels.shape[0]))
-        block = max(1, _BLOCK_BUDGET // max(1, self.n_points * self.dim))
-        for start in range(0, xs.shape[0], block):
-            chunk = xs[start : start + block]
-            dists = np.sqrt(
-                ((chunk[:, None, :] - self.points[None, :, :]) ** 2).sum(axis=2)
-            )
-            for i, drow in enumerate(dists):
-                inside = drow <= h
-                if int(inside.sum()) < k_min:
-                    eff = np.partition(drow, k_min - 1)[k_min - 1]
-                    inside = drow <= eff
-                vals = values_sorted[inside[order]]
-                out[start + i] = vals[_left_quantile_index(vals.shape[0], levels)]
+        for start, counts, _, members in ball_members(
+            xs, self._points_by_value, kernel.bandwidth, kernel.min_neighbors
+        ):
+            first = counts.cumsum() - counts
+            picks = members[_left_quantile_ranks(counts, levels) + first[:, None]]
+            out[start : start + counts.shape[0]] = self._values_by_value[picks]
         return out
 
 

@@ -3,6 +3,11 @@
 Three kinds: ordinary least squares with an intercept, k-nearest-neighbor
 averaging, and "external" passthrough for predictions produced elsewhere and
 shipped as an extra numeric column.
+
+Predictions are computed row by row in a way that does not depend on how
+many rows are asked for or how they are laid out in memory, so one row
+predicted alone equals the same row inside any batch, bit for bit. kNN
+neighbors come from :func:`qcalib.neighbors.k_nearest`.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
+from .neighbors import k_nearest
 
 __all__ = [
     "FittedRegressor",
@@ -22,9 +28,6 @@ __all__ = [
 ]
 
 _KINDS = ("ols", "knn", "external")
-
-# entries of the query-by-train distance matrix held per block
-_KNN_BLOCK_BUDGET = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -71,22 +74,15 @@ class FittedRegressor:
                 f"queries have {xs.shape[-1]} columns, model expects {self.input_dim}"
             )
         if self.kind == "ols":
-            return xs @ self.coefficients[1:] + self.coefficients[0]
+            # an elementwise product summed along contiguous rows rounds the
+            # same for every row; a matrix-vector product does not
+            terms = np.ascontiguousarray(xs) * self.coefficients[1:]
+            return terms.sum(axis=1) + self.coefficients[0]
         if self.kind == "external":
             return xs[:, self.external_index].copy()
-        return self._predict_knn(xs)
-
-    def _predict_knn(self, xs: np.ndarray) -> np.ndarray:
-        train = self.train_features
-        out = np.empty(xs.shape[0])
-        block = max(1, _KNN_BLOCK_BUDGET // max(1, train.shape[0]))
-        for start in range(0, xs.shape[0], block):
-            chunk = xs[start : start + block]
-            dists = np.sqrt(((chunk[:, None, :] - train[None, :, :]) ** 2).sum(axis=2))
-            # stable sort so equal distances resolve to the lower index
-            nearest = np.argsort(dists, axis=1, kind="stable")[:, : self.knn_k]
-            out[start : start + chunk.shape[0]] = self.train_targets[nearest].mean(axis=1)
-        return out
+        # equal distances resolve to the lower index, as a stable sort would
+        nearest = k_nearest(xs, self.train_features, self.knn_k)
+        return self.train_targets[nearest].mean(axis=1)
 
 
 def fit_regressor(spec: RegressorSpec, train: Dataset) -> FittedRegressor:

@@ -13,7 +13,7 @@ from qcalib.calibration import (
     save_model,
 )
 from qcalib.data import Dataset, DatasetError, SplitSpec
-from qcalib.projection import correlation_select
+from qcalib.projection import ProjectionMap, correlation_select, gaussian_projection
 from qcalib.quantile import BandwidthSearch, KernelConfig
 from qcalib.reference import sorted_left_quantile
 from qcalib.regressors import RegressorSpec
@@ -175,6 +175,74 @@ class TestProjectionInPipeline:
         cfg = fixed_cfg(bandwidth=1.0, projection=gaussian_projection(5, 2, seed=0))
         model = calibrate(data, cfg)
         assert model.quantile_estimator.dim == 2
+
+
+def _projection(kind, d):
+    if kind == "identity":
+        return ProjectionMap("identity", d, d)
+    if kind == "random_gaussian":
+        return gaussian_projection(d, 2, seed=3)
+    if kind == "covariate_select":
+        return ProjectionMap("covariate_select", d, 2, selected_indices=(2, 0))
+    return None
+
+
+class TestBatchOfOne:
+    @pytest.mark.parametrize("projection", [None, "identity", "random_gaussian", "covariate_select"])
+    @pytest.mark.parametrize("kind", ["ols", "knn", "external"])
+    def test_single_query_paths_equal_batch_columns(self, kind, projection):
+        rng = np.random.default_rng(12)
+        n = 120
+        feats = rng.normal(size=(n, 4))
+        target = feats[:, 0] + rng.normal(0.0, 0.5 + np.abs(feats[:, 1]))
+        data = Dataset(feats, target, ("a", "b", "c", "pred"))
+        spec = RegressorSpec(kind, knn_k=6, external_column="pred")
+        d_quantile = 3 if kind == "external" else 4
+        cfg = CalibrationConfig(
+            regressor=spec,
+            kernel=KernelConfig(1.2, min_neighbors=8),
+            projection=_projection(projection, d_quantile),
+        )
+        model = calibrate(data, cfg)
+        est = model.quantile_estimator
+        xs = rng.normal(size=(25, 4))
+        taus = np.array([0.05, 0.3, 0.5, 0.95])
+        batch = model.predict_quantile_batch(xs, taus)
+        residual = model.residual_quantile_batch(xs, taus)
+        tails = model.predict_quantile_batch(xs, [0.05, 0.95])
+        z = model.transform_features(xs)
+        widened = 0
+        for i, x in enumerate(xs):
+            for j, tau in enumerate(taus):
+                assert model.predict_quantile(x, tau) == batch[i, j]
+                assert model.residual_quantile(x, tau) == residual[i, j]
+            assert model.predict_interval(x, 0.1) == tuple(tails[i])
+            dist = np.sqrt(((est.points - z[i]) ** 2).sum(axis=1))
+            inside = dist <= 1.2
+            if inside.sum() < 8:
+                inside = dist <= np.partition(dist, 7)[7]
+                widened += 1
+            hood = est.neighborhood(z[i])
+            assert (np.diff(hood.indices) > 0).all()
+            assert hood.indices.tolist() == np.flatnonzero(inside).tolist()
+        assert 0 < widened < len(xs)
+
+    def test_ols_rows_agree_bitwise_at_d20(self):
+        data = generate(GeneratorSpec("sine_hetero", 400, seed=13, nuisance_dims=19))
+        model = calibrate(data, fixed_cfg(bandwidth=4.0))
+        xs = generate(GeneratorSpec("sine_hetero", 60, seed=14, nuisance_dims=19)).features
+        batch = model.predict_mean(xs)
+        single = np.array([model.predict_mean(x[None, :])[0] for x in xs])
+        blocks = np.concatenate([model.predict_mean(xs[i : i + 7]) for i in range(0, 60, 7)])
+        np.testing.assert_array_equal(single, batch)
+        np.testing.assert_array_equal(blocks, batch)
+        np.testing.assert_array_equal(model.predict_mean(np.asfortranarray(xs)), batch)
+        # a strided column slice of a wider table
+        wide = np.column_stack([xs, xs])
+        np.testing.assert_array_equal(model.predict_mean(wide[:, :20]), batch)
+        tails = model.predict_quantile_batch(xs, [0.05, 0.95])
+        for i, x in enumerate(xs):
+            assert model.predict_interval(x, 0.1) == tuple(tails[i])
 
 
 class TestSerialization:

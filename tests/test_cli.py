@@ -264,6 +264,31 @@ class TestPredict:
         assert "schema mismatch" in capsys.readouterr().err
 
 
+    def test_model_document_not_an_object(self, tmp_path, test_csv):
+        model_path = tmp_path / "m.json"
+        model_path.write_text("[1, 2, 3]\n")
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "qcalib",
+                "predict",
+                "--model",
+                str(model_path),
+                "--input",
+                str(test_csv),
+                "--output",
+                str(tmp_path / "p.csv"),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "expected a JSON object" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "p.csv").exists()
+
+
 class TestEvaluate:
     def test_report_and_curve(self, tmp_path, train_csv, test_csv):
         model_path = run_calibrate(tmp_path, train_csv)
