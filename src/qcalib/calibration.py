@@ -16,14 +16,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import Dataset, DatasetError, SplitSpec, Standardizer, split
 from .metrics import TauGrid
 from .projection import ProjectionMap, apply_projection
-from .quantile import BandwidthSearch, KernelConfig, QuantileEstimator, select_bandwidth
+from .quantile import (
+    BandwidthSearch,
+    KernelConfig,
+    QuantileEstimator,
+    _cv_winner,
+    bandwidth_cv_scores,
+)
 from .regressors import FittedRegressor, RegressorSpec, fit_regressor, residuals
 
 __all__ = [
@@ -47,7 +53,10 @@ class CalibrationConfig:
     ``kernel`` is either a fixed :class:`KernelConfig` or the string
     ``"auto"``, in which case the bandwidth is cross-validated on the
     calibration split (``bandwidth_search`` overrides the default plan,
-    ``min_neighbors`` feeds the resulting kernel).
+    ``min_neighbors`` feeds the resulting kernel). ``"auto"`` does not fail
+    on degenerate calibration splits: identical feature rows take the
+    marginal bandwidth ``math.inf`` (every ball holds every point anyway),
+    and fewer rows than folds use one fold per row.
     """
 
     regressor: RegressorSpec
@@ -160,13 +169,11 @@ def calibrate(data: Dataset, cfg: CalibrationConfig) -> CalibratedModel:
         z = apply_projection(cfg.projection, z)
 
     if isinstance(cfg.kernel, KernelConfig):
-        kernel = cfg.kernel
-        auto = False
+        kernel, cv = cfg.kernel, None
     else:
         search = cfg.bandwidth_search or BandwidthSearch(seed=cfg.seed)
-        bandwidth = select_bandwidth(z, res.residuals, search)
+        bandwidth, cv = _cross_validate(z, res.residuals, search)
         kernel = KernelConfig(bandwidth, cfg.min_neighbors)
-        auto = True
 
     estimator = QuantileEstimator.fit(z, res.residuals, kernel)
     echo = {
@@ -184,7 +191,8 @@ def calibrate(data: Dataset, cfg: CalibrationConfig) -> CalibratedModel:
         "kernel": {
             "bandwidth": kernel.bandwidth,
             "min_neighbors": kernel.min_neighbors,
-            "auto": auto,
+            "auto": cv is not None,
+            **({} if cv is None else {"cv": cv}),
         },
         "projection": None
         if cfg.projection is None
@@ -201,6 +209,24 @@ def calibrate(data: Dataset, cfg: CalibrationConfig) -> CalibratedModel:
         target_name=data.target_name,
         config=echo,
     )
+
+
+def _cross_validate(z: np.ndarray, values: np.ndarray, search: BandwidthSearch):
+    """The CV bandwidth and the record of its choice for ``config``."""
+    if (z == z[0]).all():
+        fallback = "identical calibration features: marginal bandwidth"
+        return math.inf, {"candidates": [], "scores": [], "folds": 0, "fallback": fallback}
+    fallback = None
+    if z.shape[0] < search.folds:
+        fallback = f"{search.folds} folds clamped to the {z.shape[0]} calibration rows"
+        search = replace(search, folds=z.shape[0])
+    candidates, scores = bandwidth_cv_scores(z, values, search)
+    return _cv_winner(candidates, scores), {
+        "candidates": candidates.tolist(),
+        "scores": scores.tolist(),
+        "folds": search.folds,
+        "fallback": fallback,
+    }
 
 
 def _regressor_to_dict(reg: FittedRegressor) -> dict:

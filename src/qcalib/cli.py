@@ -188,7 +188,9 @@ def _cmd_calibrate(args, outputs: _OutputSet) -> None:
     model = calibrate(data, cfg)
     save_model(model, outputs.register(args.output))
     kernel = model.config["kernel"]
-    chosen = "cross-validated" if kernel["auto"] else "fixed"
+    chosen = "fixed"
+    if kernel["auto"]:
+        chosen = kernel["cv"]["fallback"] or "cross-validated"
     print(f"rows: {data.n} (fit {model.config['n_fit']} / calibration {model.config['n_calibration']})")
     print(f"bandwidth: {kernel['bandwidth']:g} ({chosen})")
     print(f"seed: {args.seed}")

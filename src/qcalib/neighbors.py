@@ -14,7 +14,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-__all__ = ["ball_members", "k_nearest"]
+__all__ = ["ball_members", "block_balls", "k_nearest"]
 
 _BLOCK_BUDGET = 8_000_000
 
@@ -55,6 +55,25 @@ def k_nearest(queries: np.ndarray, points: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def block_balls(dists: np.ndarray, radius: float, k: int) -> tuple[np.ndarray, ...]:
+    """``(counts, radii, members)`` of one distance block's balls; see
+    :func:`ball_members`. ``k`` is the minimum count, already capped at n."""
+    inside = dists <= radius
+    counts = inside.sum(axis=1)
+    radii = np.full(counts.shape[0], float(radius))
+    short = counts < k
+    if short.any():
+        near = dists[short]
+        radii[short] = np.partition(near, k - 1, axis=1)[:, k - 1]
+        inside[short] = near <= radii[short, None]
+        counts[short] = inside[short].sum(axis=1)
+        del near
+    # flat positions, then point indices; cheaper than a 2-d nonzero
+    members = inside.ravel().nonzero()[0]
+    members %= dists.shape[1]
+    return counts, radii, members
+
+
 def ball_members(
     queries: np.ndarray, points: np.ndarray, radius: float, min_count: int
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
@@ -68,18 +87,7 @@ def ball_members(
     """
     k = min(min_count, points.shape[0])
     for start, dists in _distance_blocks(queries, points):
-        inside = dists <= radius
-        counts = inside.sum(axis=1)
-        radii = np.full(counts.shape[0], float(radius))
-        short = counts < k
-        if short.any():
-            near = dists[short]
-            radii[short] = np.partition(near, k - 1, axis=1)[:, k - 1]
-            inside[short] = near <= radii[short, None]
-            counts[short] = inside[short].sum(axis=1)
-            del near
-        # flat positions, then point indices; cheaper than a 2-d nonzero
-        members = inside.ravel().nonzero()[0]
-        members %= points.shape[0]
-        del dists, inside
+        counts, radii, members = block_balls(dists, radius, k)
+        # unbound before the next block is built, or both would be alive
+        del dists
         yield start, counts, radii, members

@@ -15,6 +15,9 @@ vectorized rank lookup. The single-query methods are batches of one.
 
 Bandwidth selection is K-fold cross-validation of the pinball loss over a
 candidate grid drawn from the quantiles of pairwise inter-point distances.
+Distances do not depend on the bandwidth, so each fold makes one distance
+pass from its held-out rows to its kept points, and every candidate takes its
+balls and quantiles from the same blocks, through the estimator's own code.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import TauGrid, default_tau_grid, pinball_loss
-from .neighbors import ball_members
+from . import neighbors
 
 __all__ = [
     "BandwidthSearch",
@@ -48,6 +51,15 @@ def _left_quantile_ranks(counts: np.ndarray, levels: np.ndarray) -> np.ndarray:
     m = counts.astype(float)[:, None]
     c = np.ceil(levels * m)
     return (c - 2.0 + ((c - 1.0) / m < levels) + (c / m < levels)).astype(np.intp)
+
+
+def _left_quantile_picks(
+    counts: np.ndarray, members: np.ndarray, levels: np.ndarray
+) -> np.ndarray:
+    """(len(counts), len(levels)) entries of ``members`` at each ball's left
+    quantiles, for members listed ball after ball, each ball's in value order."""
+    first = counts.cumsum() - counts
+    return members[_left_quantile_ranks(counts, levels) + first[:, None]]
 
 
 @dataclass(frozen=True)
@@ -144,7 +156,7 @@ class QuantileEstimator:
         xs = self._check_queries(np.asarray(x, dtype=float).reshape(1, -1))
         kernel = self.kernel
         _, _, radii, members = next(
-            ball_members(xs, self.points, kernel.bandwidth, kernel.min_neighbors)
+            neighbors.ball_members(xs, self.points, kernel.bandwidth, kernel.min_neighbors)
         )
         return LocalNeighborhood(members, float(radii[0]))
 
@@ -164,11 +176,10 @@ class QuantileEstimator:
         xs = self._check_queries(xs)
         kernel = self.kernel
         out = np.empty((xs.shape[0], levels.shape[0]))
-        for start, counts, _, members in ball_members(
+        for start, counts, _, members in neighbors.ball_members(
             xs, self._points_by_value, kernel.bandwidth, kernel.min_neighbors
         ):
-            first = counts.cumsum() - counts
-            picks = members[_left_quantile_ranks(counts, levels) + first[:, None]]
+            picks = _left_quantile_picks(counts, members, levels)
             out[start : start + counts.shape[0]] = self._values_by_value[picks]
         return out
 
@@ -249,10 +260,12 @@ def bandwidth_cv_scores(points, values, search: BandwidthSearch) -> tuple[np.nda
     """Candidate bandwidths and their fold-averaged pinball losses.
 
     Folds come from ``array_split`` of a ``default_rng(seed)`` permutation.
-    Each fold is predicted by an estimator fitted on the remaining points
-    (``min_neighbors=1`` so every query resolves), scored by the mean
-    pinball loss over the fold's rows and the level grid, and the candidate
-    score is the unweighted mean over folds.
+    Each fold is predicted from the remaining points as an estimator with
+    ``min_neighbors=1`` would predict it (an empty ball widens to the nearest
+    point), scored by the mean pinball loss over the fold's rows and the level
+    grid, and the candidate score is the unweighted mean over folds. A fold
+    makes one pass of distance blocks, shared by all candidates, and holds
+    only its candidates × rows × levels predictions.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -261,35 +274,37 @@ def bandwidth_cv_scores(points, values, search: BandwidthSearch) -> tuple[np.nda
     n = values.shape[0]
     if points.shape[0] != n:
         raise ValueError(f"{n} values for {points.shape[0]} points")
+    if not (np.isfinite(points).all() and np.isfinite(values).all()):
+        raise ValueError("points and values must be finite")
     if n < search.folds:
         raise ValueError(f"{n} points cannot fill {search.folds} folds")
-    grid = search.tau_grid or default_tau_grid()
+    levels = (search.tau_grid or default_tau_grid()).levels
     candidates = _resolve_candidates(points, search)
-    folds = _cv_folds(n, search.folds, search.seed)
 
-    scores = np.empty(candidates.shape[0])
-    for ci, h in enumerate(candidates):
-        fold_losses = []
-        for held_out in folds:
-            mask = np.ones(n, dtype=bool)
-            mask[held_out] = False
-            est = QuantileEstimator.fit(
-                points[mask], values[mask], KernelConfig(float(h), 1)
-            )
-            preds = est.predict_quantile_batch(points[held_out], grid)
-            loss = pinball_loss(preds, values[held_out][:, None], grid.levels[None, :])
-            fold_losses.append(float(loss.mean()))
-        scores[ci] = float(np.mean(fold_losses))
-    return candidates, scores
+    fold_losses = np.empty((candidates.shape[0], search.folds))
+    for fi, held_out in enumerate(_cv_folds(n, search.folds, search.seed)):
+        mask = np.ones(n, dtype=bool)
+        mask[held_out] = False
+        order = np.argsort(values[mask], kind="stable")
+        kept_points, kept_values = points[mask][order], values[mask][order]
+        preds = np.empty((candidates.shape[0], held_out.shape[0], levels.shape[0]))
+        for start, dists in neighbors._distance_blocks(points[held_out], kept_points):
+            for ci, h in enumerate(candidates):
+                counts, _, members = neighbors.block_balls(dists, float(h), 1)
+                picks = _left_quantile_picks(counts, members, levels)
+                preds[ci, start : start + counts.shape[0]] = kept_values[picks]
+            del dists  # before the next block is built
+        observed = values[held_out][:, None]
+        for ci, fold_preds in enumerate(preds):
+            fold_losses[ci, fi] = pinball_loss(fold_preds, observed, levels[None, :]).mean()
+    return candidates, fold_losses.mean(axis=1)
+
+
+def _cv_winner(candidates: np.ndarray, scores: np.ndarray) -> float:
+    """The candidate of lowest score; candidates ascend, so ties go to the larger."""
+    return float(candidates[scores.shape[0] - 1 - np.argmin(scores[::-1])])
 
 
 def select_bandwidth(points, values, search: BandwidthSearch | None = None) -> float:
     """Cross-validated bandwidth; ties go to the larger candidate."""
-    search = search or BandwidthSearch()
-    candidates, scores = bandwidth_cv_scores(points, values, search)
-    best_h = float(candidates[0])
-    best_score = float(scores[0])
-    for h, score in zip(candidates[1:], scores[1:]):
-        if score <= best_score:  # candidates ascend, so <= prefers the larger
-            best_h, best_score = float(h), float(score)
-    return best_h
+    return _cv_winner(*bandwidth_cv_scores(points, values, search or BandwidthSearch()))

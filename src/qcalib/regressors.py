@@ -12,6 +12,7 @@ neighbors come from :func:`qcalib.neighbors.k_nearest`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,10 @@ class FittedRegressor:
             raise ValueError(
                 f"queries have {xs.shape[-1]} columns, model expects {self.input_dim}"
             )
+        # a finite sum has only finite terms; no (n, d) temporary on that path
+        if not math.isfinite(xs.sum()) and not np.isfinite(xs).all():
+            row = int(np.argmin(np.isfinite(xs).all(axis=1)))
+            raise ValueError(f"query row {row} has a non-finite value")
         if self.kind == "ols":
             # an elementwise product summed along contiguous rows rounds the
             # same for every row; a matrix-vector product does not

@@ -291,6 +291,50 @@ class TestSerialization:
             model_from_dict(wrong)
 
 
+class TestAutoBandwidthRecord:
+    def test_cv_table_round_trips_and_last_minimum_wins(self, tmp_path):
+        # two residual clusters 2 apart after standardizing: radii 0.5 and 1
+        # give the same balls and tie at the lowest score, 3 pools both
+        xs = np.tile([0.0, 10.0], 20)
+        ys = np.where(xs == 0.0, np.arange(40.0) % 7, 100.0 + np.arange(40.0) % 5)
+        data = Dataset(np.column_stack([xs, np.zeros(40)]), ys, ("x", "pred"))
+        cfg = CalibrationConfig(
+            regressor=RegressorSpec("external", external_column="pred"),
+            split=SplitSpec(0.5, shuffle=False),
+            kernel="auto",
+            bandwidth_search=BandwidthSearch(candidates=(0.5, 1.0, 3.0), seed=1),
+        )
+        model = calibrate(data, cfg)
+        save_model(model, tmp_path / "model.json")
+        kernel = load_model(tmp_path / "model.json").config["kernel"]
+        assert kernel == model.config["kernel"]
+        cv = kernel["cv"]
+        scores = cv["scores"]
+        assert cv["candidates"] == [0.5, 1.0, 3.0]
+        assert scores[0] == scores[1] < scores[2]
+        last_min = max(i for i, score in enumerate(scores) if score == min(scores))
+        assert kernel["bandwidth"] == cv["candidates"][last_min] == 1.0
+        assert cv["folds"] == 5 and cv["fallback"] is None
+
+    def test_identical_features_take_the_marginal_bandwidth(self):
+        data = Dataset(np.full((20, 2), 3.0), np.arange(20.0), ("a", "b"))
+        model = calibrate(data, CalibrationConfig(regressor=RegressorSpec("ols")))
+        kernel = model.config["kernel"]
+        assert kernel["bandwidth"] == math.inf and kernel["auto"] is True
+        assert kernel["cv"]["fallback"].startswith("identical calibration features")
+        assert kernel["cv"]["candidates"] == [] and kernel["cv"]["folds"] == 0
+
+    def test_folds_clamped_to_calibration_rows(self):
+        rng = np.random.default_rng(0)
+        data = Dataset(rng.normal(size=(8, 2)), rng.normal(size=8), ("a", "b"))
+        model = calibrate(data, CalibrationConfig(regressor=RegressorSpec("ols")))
+        cv = model.config["kernel"]["cv"]
+        assert model.config["n_calibration"] == 4
+        assert cv["folds"] == 4
+        assert cv["fallback"] == "5 folds clamped to the 4 calibration rows"
+        assert model.config["kernel"]["bandwidth"] in cv["candidates"]
+
+
 class TestStatisticalBehavior:
     def test_recovers_sine_quantile_at_known_point(self):
         # q(7.5, 0.975) = 2.7577 analytically; single-seed estimates of an

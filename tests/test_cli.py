@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qcalib.cli import main
-from qcalib.data import load_csv, save_csv
+from qcalib.data import Dataset, load_csv, save_csv
 from qcalib.synthetic import GeneratorSpec, generate
 
 
@@ -114,6 +114,24 @@ class TestCalibrate:
         )
         assert rc == 2
         assert "--bandwidth" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "features, expect",
+        [
+            ([[3.0, 1.0]] * 20, "bandwidth: inf (identical calibration features"),
+            ([[0.1, 2.0], [0.7, 1.0], [0.2, 5.0], [0.9, 3.0]] * 2, "(5 folds clamped to the 4"),
+        ],
+    )
+    def test_degenerate_auto_inputs_exit_0(self, tmp_path, capsys, features, expect):
+        features = np.array(features)
+        path = tmp_path / "tiny.csv"
+        save_csv(Dataset(features, np.arange(len(features), dtype=float), ("a", "b")), path)
+        model_path = tmp_path / "model.json"
+        argv = ["calibrate", "--input", str(path), "--target", "y", "--output", str(model_path)]
+        assert main(argv) == 0
+        assert expect in capsys.readouterr().out
+        assert json.loads(model_path.read_text())["config"]["kernel"]["cv"]["fallback"]
 
 
 class TestConfigFile:

@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcalib.metrics import TauGrid, pinball_loss
+from qcalib import neighbors, quantile
+from qcalib.metrics import TauGrid, default_tau_grid, pinball_loss
 from qcalib.quantile import (
     BandwidthSearch,
     KernelConfig,
@@ -222,6 +226,12 @@ class TestBandwidthSelection:
         cands, _ = bandwidth_cv_scores(pts, vals, search)
         assert cands.tolist() == sorted([0.1, 5.0, rate])
 
+    def test_non_finite_sample_rejected(self):
+        pts = np.arange(10.0)[:, None]
+        pts[3, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            bandwidth_cv_scores(pts, np.arange(10.0), BandwidthSearch(candidates=(1.0,)))
+
     def test_identical_points_reject_default_grid(self):
         pts = np.zeros((10, 1))
         with pytest.raises(ValueError, match="pairwise distances"):
@@ -241,3 +251,125 @@ class TestBandwidthSelection:
             if h <= 7.5:  # half the support width
                 wins += 1
         assert wins >= 4
+
+
+def refit_cv_scores(points, values, search):
+    """Bandwidth CV as a fresh estimator per (candidate, fold): the oracle
+    for the one-distance-pass-per-fold sweep of ``bandwidth_cv_scores``."""
+    n = values.shape[0]
+    grid = search.tau_grid or default_tau_grid()
+    candidates = quantile._resolve_candidates(points, search)
+    folds = quantile._cv_folds(n, search.folds, search.seed)
+    scores = np.empty(candidates.shape[0])
+    for ci, h in enumerate(candidates):
+        fold_losses = []
+        for held_out in folds:
+            mask = np.ones(n, dtype=bool)
+            mask[held_out] = False
+            est = QuantileEstimator.fit(points[mask], values[mask], KernelConfig(float(h), 1))
+            preds = est.predict_quantile_batch(points[held_out], grid)
+            loss = pinball_loss(preds, values[held_out][:, None], grid.levels[None, :])
+            fold_losses.append(float(loss.mean()))
+        scores[ci] = float(np.mean(fold_losses))
+    return candidates, scores
+
+
+lattice = st.integers(min_value=-3, max_value=3).map(lambda k: k / 1000)
+
+
+@st.composite
+def cv_samples(draw):
+    """(points, values, folds) on a coarse lattice: duplicate points, tied
+    values, and at least two distinct points so the default grid exists."""
+    d = draw(st.integers(1, 3))
+    folds = draw(st.integers(2, 5))
+    n = draw(st.integers(3 * folds, 30))
+    rows = st.lists(lattice, min_size=d, max_size=d)
+    points = np.array(draw(st.lists(rows, min_size=n - 2, max_size=n - 2)))
+    shifted = points[:1].copy()
+    shifted[0, 0] += 0.005
+    points = np.vstack([points, points[:1], shifted])
+    values = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
+    return points, values, folds
+
+
+def assert_sweep_equals_refits(points, values, search):
+    got = bandwidth_cv_scores(points, values, search)
+    want = refit_cv_scores(points, values, search)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w) and g.tobytes() == w.tobytes()
+
+
+class TestOnePassSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(cv_samples(), st.integers(0, 3))
+    def test_candidates_below_every_distance(self, sample, seed):
+        # the lattice's smallest nonzero distance is 0.001, so every query
+        # without an exact duplicate among the kept points widens
+        points, values, folds = sample
+        search = BandwidthSearch(candidates=(1e-5, 5e-4), folds=folds, seed=seed)
+        assert_sweep_equals_refits(points, values, search)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cv_samples(), st.integers(0, 3))
+    def test_default_grid(self, sample, seed):
+        points, values, folds = sample
+        search = BandwidthSearch(folds=folds, seed=seed, tau_grid=TauGrid([0.1, 1 / 3, 0.5, 0.9]))
+        assert_sweep_equals_refits(points, values, search)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cv_samples(), st.integers(0, 3))
+    def test_folds_span_several_blocks(self, sample, seed):
+        points, values, folds = sample
+        n, d = points.shape
+        largest = -(-n // folds)
+        # a row count that splits the largest fold into blocks, the last partial
+        rows = next(r for r in range(2, largest) if largest % r)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors, "_BLOCK_BUDGET", rows * (n - largest) * d)
+            assert_sweep_equals_refits(points, values, BandwidthSearch(folds=folds, seed=seed))
+
+
+def test_cv_makes_one_distance_pass_per_fold(monkeypatch):
+    passes = []
+    inner = neighbors._distance_blocks
+
+    def counted(queries, points):
+        passes.append(queries.shape[0])
+        return inner(queries, points)
+
+    def no_estimator(self):
+        raise AssertionError("bandwidth CV constructed a QuantileEstimator")
+
+    monkeypatch.setattr(neighbors, "_distance_blocks", counted)
+    monkeypatch.setattr(QuantileEstimator, "__post_init__", no_estimator)
+    rng = np.random.default_rng(0)
+    cands, _ = bandwidth_cv_scores(
+        rng.normal(size=(200, 3)), rng.normal(size=200), BandwidthSearch(seed=0)
+    )
+    assert cands.shape[0] == 6
+    assert passes == [40] * 5  # one pass per fold, not one per (candidate, fold)
+
+
+def test_one_distance_block_alive_at_a_time(monkeypatch):
+    # a block still bound to a loop variable while the kernel builds the
+    # next one doubles the peak; both the estimator and CV drop it first
+    points = np.linspace(0.0, 3.0, 3000)[:, None]
+    values = np.sin(points[:, 0] * 7.0)
+    rows = 300
+    monkeypatch.setattr(neighbors, "_BLOCK_BUDGET", rows * 1500)
+    block_bytes = rows * 1500 * 8
+    # radii that hold a few points each, so no row widens (widening copies rows)
+    est = QuantileEstimator.fit(points[::2], values[::2], KernelConfig(0.0011))
+    search = BandwidthSearch(candidates=(0.005, 0.01), folds=2, tau_grid=TauGrid([0.5]))
+    for run in (
+        lambda: est.predict_quantile_batch(points[1::2], [0.5]),
+        lambda: bandwidth_cv_scores(points, values, search),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block_bytes < peak < 1.5 * block_bytes

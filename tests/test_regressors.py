@@ -140,3 +140,29 @@ class TestResiduals:
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown regressor kind"):
         RegressorSpec("forest")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        RegressorSpec("ols"),
+        RegressorSpec("knn", knn_k=2),
+        RegressorSpec("external", external_column="x2"),
+    ],
+)
+def test_non_finite_query_row_rejected(spec, bad):
+    # kNN would otherwise average the first k targets and OLS return NaN
+    train = make([[0.0, 1.0], [1.0, 2.0], [2.0, 4.0], [3.0, 5.0]], [1.0, 2.0, 3.0, 4.0])
+    model = fit_regressor(spec, train)
+    queries = np.array([[0.5, 1.0], [1.0, bad], [2.0, 3.0]])
+    with pytest.raises(ValueError, match="query row 1 has a non-finite value"):
+        model.predict(queries)
+
+
+def test_huge_finite_row_accepted():
+    # the row's sum overflows, so the entrywise check decides
+    train = make([[0.0, 1.0], [1.0, 2.0]], [1.0, 2.0])
+    model = fit_regressor(RegressorSpec("external", external_column="x2"), train)
+    with np.errstate(over="ignore"):
+        assert model.predict([[1e308, 1e308]]).tolist() == [1e308]
