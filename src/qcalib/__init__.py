@@ -8,138 +8,20 @@ generators, dimension reduction for the quantile step, and a CLI
 (``qcalib --help``).
 """
 
-from .calibration import (
-    CalibratedModel,
-    CalibrationConfig,
-    calibrate,
-    load_model,
-    model_from_dict,
-    model_to_dict,
-    save_model,
-)
-from .data import (
-    Dataset,
-    DatasetError,
-    SplitSpec,
-    Standardizer,
-    apply_standardizer,
-    fit_standardizer,
-    load_csv,
-    read_numeric_csv,
-    save_csv,
-    split,
-)
-from .metrics import (
-    AgceConfig,
-    GroupCoverageTable,
-    MetricReport,
-    TauGrid,
-    agce,
-    check_score,
-    default_tau_grid,
-    evaluate_predictions,
-    group_coverage,
-    mace,
-    observed_level,
-    observed_levels,
-    pinball_loss,
-    report_to_dict,
-    subsample_indices,
-    write_tau_curve_csv,
-)
-from .projection import (
-    ProjectionMap,
-    apply_projection,
-    correlation_select,
-    gaussian_projection,
-)
-from .quantile import (
-    BandwidthSearch,
-    KernelConfig,
-    LocalNeighborhood,
-    QuantileEstimator,
-    bandwidth_cv_scores,
-    select_bandwidth,
-)
-from .reference import OracleResult, pinball_argmin_scan, sorted_left_quantile
-from .regressors import (
-    FittedRegressor,
-    RegressorSpec,
-    ResidualSample,
-    fit_regressor,
-    residuals,
-)
-from .synthetic import (
-    GeneratorSpec,
-    ShiftSpec,
-    analytic_quantile,
-    covariate_shift_testset,
-    generate,
-    sharpness_counterexample_predictor,
-    sine_mean,
-    sine_stddev,
-)
+from . import calibration, data, metrics, projection, quantile, reference, regressors, synthetic
+from .calibration import *  # noqa: F403
+from .data import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .projection import *  # noqa: F403
+from .quantile import *  # noqa: F403
+from .reference import *  # noqa: F403
+from .regressors import *  # noqa: F403
+from .synthetic import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AgceConfig",
-    "BandwidthSearch",
-    "CalibratedModel",
-    "CalibrationConfig",
-    "Dataset",
-    "DatasetError",
-    "FittedRegressor",
-    "GeneratorSpec",
-    "GroupCoverageTable",
-    "KernelConfig",
-    "LocalNeighborhood",
-    "MetricReport",
-    "OracleResult",
-    "ProjectionMap",
-    "QuantileEstimator",
-    "RegressorSpec",
-    "ResidualSample",
-    "ShiftSpec",
-    "SplitSpec",
-    "Standardizer",
-    "TauGrid",
-    "agce",
-    "analytic_quantile",
-    "apply_projection",
-    "apply_standardizer",
-    "bandwidth_cv_scores",
-    "calibrate",
-    "check_score",
-    "correlation_select",
-    "covariate_shift_testset",
-    "default_tau_grid",
-    "evaluate_predictions",
-    "fit_regressor",
-    "fit_standardizer",
-    "gaussian_projection",
-    "generate",
-    "group_coverage",
-    "load_csv",
-    "load_model",
-    "mace",
-    "model_from_dict",
-    "model_to_dict",
-    "observed_level",
-    "observed_levels",
-    "pinball_argmin_scan",
-    "pinball_loss",
-    "read_numeric_csv",
-    "report_to_dict",
-    "residuals",
-    "save_csv",
-    "save_model",
-    "select_bandwidth",
-    "sharpness_counterexample_predictor",
-    "sine_mean",
-    "sine_stddev",
-    "sorted_left_quantile",
-    "split",
-    "subsample_indices",
-    "write_tau_curve_csv",
-]
+__all__ = sorted(
+    name
+    for module in (calibration, data, metrics, projection, quantile, reference, regressors, synthetic)
+    for name in module.__all__
+)

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, DatasetError, SplitSpec, Standardizer, split
-from .metrics import TauGrid
+from .data import Dataset, DatasetError, SplitSpec, Standardizer, _query_rows, split
+from .metrics import _interval_levels
 from .projection import ProjectionMap, apply_projection
 from .quantile import (
     BandwidthSearch,
@@ -101,13 +101,8 @@ class CalibratedModel:
 
     def transform_features(self, xs) -> np.ndarray:
         """Raw full-width feature rows to quantile-estimator coordinates."""
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim == 1:
-            xs = xs.reshape(1, -1) if self.input_dim > 1 else xs.reshape(-1, 1)
-        if xs.ndim != 2 or xs.shape[1] != self.input_dim:
-            raise DatasetError(
-                f"queries have {xs.shape[-1]} columns, model expects {self.input_dim}"
-            )
+        # the estimator checks finiteness on the transformed rows
+        xs = _query_rows(xs, self.input_dim, finite=False)
         z = self.standardizer.transform(xs[:, self._quantile_columns()])
         if self.projection is not None:
             z = apply_projection(self.projection, z)
@@ -137,10 +132,9 @@ class CalibratedModel:
 
     def predict_interval(self, x, alpha: float) -> tuple[float, float]:
         """Central (1 - alpha) interval from the alpha/2 and 1 - alpha/2 quantiles."""
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+        levels = _interval_levels(alpha)
         row = np.asarray(x, dtype=float).reshape(1, -1)
-        lo, hi = self.predict_quantile_batch(row, TauGrid([alpha / 2.0, 1.0 - alpha / 2.0]))[0]
+        lo, hi = self.predict_quantile_batch(row, levels)[0]
         return float(lo), float(hi)
 
 
@@ -178,16 +172,8 @@ def calibrate(data: Dataset, cfg: CalibrationConfig) -> CalibratedModel:
     estimator = QuantileEstimator.fit(z, res.residuals, kernel)
     echo = {
         "seed": cfg.seed,
-        "split": {
-            "fraction_train": cfg.split.fraction_train,
-            "seed": cfg.split.seed,
-            "shuffle": cfg.split.shuffle,
-        },
-        "regressor": {
-            "kind": cfg.regressor.kind,
-            "knn_k": cfg.regressor.knn_k,
-            "external_column": cfg.regressor.external_column,
-        },
+        "split": asdict(cfg.split),
+        "regressor": asdict(cfg.regressor),
         "kernel": {
             "bandwidth": kernel.bandwidth,
             "min_neighbors": kernel.min_neighbors,
@@ -229,41 +215,58 @@ def _cross_validate(z: np.ndarray, values: np.ndarray, search: BandwidthSearch):
     }
 
 
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _unique_names(value) -> tuple:
+    # predict finds columns by name, so a repeated name would read one column twice
+    names = tuple(value)
+    if len(set(names)) != len(names):
+        raise ValueError(f"names must be unique, got {list(names)}")
+    return names
+
+
+def _get(blob: dict, path: str, read=None):
+    """The value at a dotted path of a model document, passed through ``read``.
+
+    A missing key, a non-object on the way, or a value ``read`` rejects
+    raises :class:`DatasetError` naming the path.
+    """
+    value = blob
+    try:
+        for key in path.split("."):
+            value = value[key]
+        return value if read is None else read(value)
+    except KeyError:
+        raise DatasetError(f"model field {path} is missing") from None
+    except (TypeError, ValueError) as exc:
+        raise DatasetError(f"model field {path}: {exc}") from None
+
+
+# what each regressor kind saves besides kind and input_dim, and how to read it
+_REGRESSOR_FIELDS = {
+    "ols": {"coefficients": _floats},
+    "knn": {"knn_k": int, "train_features": _floats, "train_targets": _floats},
+    "external": {"external_column": None, "external_index": int},
+}
+
+
 def _regressor_to_dict(reg: FittedRegressor) -> dict:
     out: dict = {"kind": reg.kind, "input_dim": reg.input_dim}
-    if reg.kind == "ols":
-        out["coefficients"] = [float(c) for c in reg.coefficients]
-    elif reg.kind == "knn":
-        out["knn_k"] = reg.knn_k
-        out["train_features"] = [[float(v) for v in row] for row in reg.train_features]
-        out["train_targets"] = [float(v) for v in reg.train_targets]
-    else:
-        out["external_column"] = reg.external_column
-        out["external_index"] = reg.external_index
+    for name in _REGRESSOR_FIELDS[reg.kind]:
+        value = getattr(reg, name)
+        out[name] = value.tolist() if isinstance(value, np.ndarray) else value
     return out
 
 
 def _regressor_from_dict(blob: dict) -> FittedRegressor:
-    kind = blob["kind"]
-    if kind == "ols":
-        return FittedRegressor(
-            kind="ols",
-            input_dim=blob["input_dim"],
-            coefficients=np.asarray(blob["coefficients"], dtype=float),
-        )
-    if kind == "knn":
-        return FittedRegressor(
-            kind="knn",
-            input_dim=blob["input_dim"],
-            train_features=np.asarray(blob["train_features"], dtype=float),
-            train_targets=np.asarray(blob["train_targets"], dtype=float),
-            knn_k=blob["knn_k"],
-        )
+    kind = _get(blob, "regressor.kind", str)
+    fields = _REGRESSOR_FIELDS.get(kind, {})
     return FittedRegressor(
-        kind="external",
-        input_dim=blob["input_dim"],
-        external_column=blob["external_column"],
-        external_index=blob["external_index"],
+        kind=kind,
+        input_dim=_get(blob, "regressor.input_dim", int),
+        **{name: _get(blob, f"regressor.{name}", read) for name, read in fields.items()},
     )
 
 
@@ -276,23 +279,24 @@ def _projection_to_dict(pmap: ProjectionMap | None) -> dict | None:
         "output_dim": pmap.output_dim,
     }
     if pmap.matrix is not None:
-        out["matrix"] = [[float(v) for v in row] for row in pmap.matrix]
+        out["matrix"] = pmap.matrix.tolist()
     if pmap.selected_indices is not None:
         out["selected_indices"] = list(pmap.selected_indices)
     return out
 
 
-def _projection_from_dict(blob: dict | None) -> ProjectionMap | None:
-    if blob is None:
+def _projection_from_dict(blob: dict) -> ProjectionMap | None:
+    pblob = _get(blob, "projection")
+    if pblob is None:
         return None
     return ProjectionMap(
-        kind=blob["kind"],
-        input_dim=blob["input_dim"],
-        output_dim=blob["output_dim"],
-        matrix=None if "matrix" not in blob else np.asarray(blob["matrix"], dtype=float),
-        selected_indices=None
-        if "selected_indices" not in blob
-        else tuple(blob["selected_indices"]),
+        kind=_get(blob, "projection.kind"),  # read first: it fails unless pblob is an object
+        input_dim=_get(blob, "projection.input_dim", int),
+        output_dim=_get(blob, "projection.output_dim", int),
+        matrix=_get(blob, "projection.matrix", _floats) if "matrix" in pblob else None,
+        selected_indices=_get(blob, "projection.selected_indices", lambda v: tuple(map(int, v)))
+        if "selected_indices" in pblob
+        else None,
     )
 
 
@@ -310,44 +314,51 @@ def model_to_dict(model: CalibratedModel) -> dict:
         "target_name": model.target_name,
         "regressor": _regressor_to_dict(model.regressor),
         "standardizer": {
-            "means": [float(v) for v in model.standardizer.means],
-            "stddevs": [float(v) for v in model.standardizer.stddevs],
+            "means": model.standardizer.means.tolist(),
+            "stddevs": model.standardizer.stddevs.tolist(),
         },
         "projection": _projection_to_dict(model.projection),
         "quantile_estimator": {
             "bandwidth": est.kernel.bandwidth,
             "min_neighbors": est.kernel.min_neighbors,
-            "points": [[float(v) for v in row] for row in est.points],
-            "values": [float(v) for v in est.values],
+            "points": est.points.tolist(),
+            "values": est.values.tolist(),
         },
         "config": model.config,
     }
 
 
 def model_from_dict(blob: dict) -> CalibratedModel:
+    """The model a :func:`model_to_dict` document describes.
+
+    A missing or malformed field raises :class:`DatasetError` naming its
+    dotted path; fields that do not fit together raise ``ValueError``.
+    """
     if not isinstance(blob, dict):
         raise DatasetError(f"not a {MODEL_FORMAT} document: expected a JSON object")
     if blob.get("format") != MODEL_FORMAT:
         raise DatasetError(f"not a {MODEL_FORMAT} document")
     if blob.get("version") != MODEL_VERSION:
         raise DatasetError(f"unsupported model version {blob.get('version')!r}")
-    est_blob = blob["quantile_estimator"]
     estimator = QuantileEstimator(
-        points=np.asarray(est_blob["points"], dtype=float),
-        values=np.asarray(est_blob["values"], dtype=float),
-        kernel=KernelConfig(float(est_blob["bandwidth"]), int(est_blob["min_neighbors"])),
+        points=_get(blob, "quantile_estimator.points", _floats),
+        values=_get(blob, "quantile_estimator.values", _floats),
+        kernel=KernelConfig(
+            _get(blob, "quantile_estimator.bandwidth", float),
+            _get(blob, "quantile_estimator.min_neighbors", int),
+        ),
     )
     return CalibratedModel(
-        regressor=_regressor_from_dict(blob["regressor"]),
+        regressor=_regressor_from_dict(blob),
         quantile_estimator=estimator,
         standardizer=Standardizer(
-            np.asarray(blob["standardizer"]["means"], dtype=float),
-            np.asarray(blob["standardizer"]["stddevs"], dtype=float),
+            _get(blob, "standardizer.means", _floats),
+            _get(blob, "standardizer.stddevs", _floats),
         ),
-        projection=_projection_from_dict(blob["projection"]),
-        feature_names=tuple(blob["feature_names"]),
-        target_name=blob["target_name"],
-        config=blob["config"],
+        projection=_projection_from_dict(blob),
+        feature_names=_get(blob, "feature_names", _unique_names),
+        target_name=_get(blob, "target_name"),
+        config=_get(blob, "config"),
     )
 
 
@@ -358,5 +369,10 @@ def save_model(model: CalibratedModel, path) -> None:
 
 
 def load_model(path) -> CalibratedModel:
+    """Read a saved model; a malformed document raises DatasetError naming the file."""
     with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        blob = json.load(fh)
+    try:
+        return model_from_dict(blob)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DatasetError(f"{path}: {exc}") from exc

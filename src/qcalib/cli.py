@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: calibrate, predict, evaluate, demo, covshift. Flags beat values
-from an optional ``--config`` file (flat ``key=value`` lines mirroring flag
-names), which in turn beat built-in defaults. Every run with the same flags
+from an optional ``--config`` file (flat ``key=value`` lines, each key a long
+option of the invoked subcommand, switches set by true/false words), which in
+turn beat built-in defaults. Every run with the same flags
 and seeds writes byte-identical outputs; on failure partially written files
 are removed and the exit code is 2.
 """
@@ -29,6 +30,7 @@ from .data import Dataset, DatasetError, SplitSpec, load_csv, read_numeric_csv
 from .metrics import (
     AgceConfig,
     TauGrid,
+    _interval_levels,
     default_tau_grid,
     evaluate_predictions,
     group_coverage,
@@ -48,45 +50,6 @@ from .synthetic import (
 )
 
 __all__ = ["main"]
-
-_DEMO_DEFAULT_N = {"example1": 20000, "sine": 5000, "scaled_uniform": 5000}
-_DEMO_DEFAULT_BANDWIDTH = {"example1": "0.1", "sine": "auto", "scaled_uniform": "auto"}
-
-# config-file keys that take a value; coercion is left to the matching
-# argparse option so flags and file entries go through the same checks
-_CONFIG_VALUE_KEYS = frozenset(
-    {
-        "input",
-        "target",
-        "output",
-        "model",
-        "output_json",
-        "output_curve",
-        "outdir",
-        "regressor",
-        "external_column",
-        "bandwidth",
-        "projection",
-        "taus",
-        "group_column",
-        "n",
-        "seed",
-        "knn_k",
-        "min_neighbors",
-        "cv_folds",
-        "projection_dim",
-        "group_bins",
-        "agce_groups",
-        "resample_count",
-        "fraction_train",
-        "alpha",
-        "tau",
-        "pool_fraction",
-        "variance_scale",
-        "agce_fraction",
-    }
-)
-_CONFIG_FLAG_KEYS = frozenset({"no_shuffle", "agce_without_replacement"})
 
 _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
@@ -207,31 +170,29 @@ def _aligned_features(model, header: tuple[str, ...], table: np.ndarray, path) -
     return table[:, cols]
 
 
-def _parse_taus(args) -> np.ndarray:
+def _parse_taus(args) -> TauGrid:
     if args.alpha is not None:
-        if not 0.0 < args.alpha < 1.0:
-            raise ValueError(f"--alpha must lie strictly inside (0, 1), got {args.alpha}")
-        return np.array([args.alpha / 2.0, 1.0 - args.alpha / 2.0])
-    levels = np.array([float(t) for t in args.taus.split(",") if t.strip() != ""])
-    if levels.size == 0:
-        raise ValueError("--taus is empty")
-    return levels
+        return _interval_levels(args.alpha)
+    try:
+        return TauGrid([float(t) for t in args.taus.split(",") if t.strip()])
+    except ValueError as exc:
+        raise ValueError(f"--taus {args.taus!r}: {exc}") from None
 
 
 def _cmd_predict(args, outputs: _OutputSet) -> None:
     model = load_model(args.model)
     header, table = read_numeric_csv(args.input)
     xs = _aligned_features(model, header, table, args.input)
-    levels = _parse_taus(args)
-    preds = model.predict_quantile_batch(xs, levels)
-    out_header = list(model.feature_names) + [f"q_{t:g}" for t in levels]
+    grid = _parse_taus(args)
+    preds = model.predict_quantile_batch(xs, grid)
+    out_header = list(model.feature_names) + [f"q_{t:g}" for t in grid.levels]
     rows = (
         [_fmt(v) for v in x_row] + [_fmt(q) for q in q_row]
         for x_row, q_row in zip(xs, preds)
     )
     _write_csv(outputs, args.output, out_header, rows)
     print(f"rows: {xs.shape[0]}")
-    print(f"levels: {', '.join(f'{t:g}' for t in levels)}")
+    print(f"levels: {', '.join(f'{t:g}' for t in grid.levels)}")
     print(f"predictions: {args.output}")
 
 
@@ -289,20 +250,23 @@ def _cmd_evaluate(args, outputs: _OutputSet) -> None:
     print(f"report: {args.output_json}")
 
 
-def _demo_example1(args, outputs: _OutputSet, outdir: Path) -> None:
-    n = args.n or _DEMO_DEFAULT_N["example1"]
-    tau = 0.9
-    train = generate(GeneratorSpec("uniform_triangle", n, seed=args.seed))
-    test = generate(GeneratorSpec("uniform_triangle", n, seed=args.seed + 1))
-    foil = sharpness_counterexample_predictor(test.features[:, 0], tau)
-
+def _demo_model(args, family: str, regressor: RegressorSpec):
+    """Calibrate on ``args.n`` rows of a synthetic family, split half and half."""
+    train = generate(GeneratorSpec(family, args.n, seed=args.seed))
     cfg = CalibrationConfig(
-        regressor=RegressorSpec("ols"),
+        regressor=regressor,
         split=SplitSpec(0.5, seed=args.seed),
-        kernel=_parse_kernel(args.bandwidth or _DEMO_DEFAULT_BANDWIDTH["example1"], 1),
+        kernel=_parse_kernel(args.bandwidth, 1),
         seed=args.seed,
     )
-    model = calibrate(train, cfg)
+    return calibrate(train, cfg)
+
+
+def _demo_example1(args, outputs: _OutputSet, outdir: Path) -> None:
+    tau = 0.9
+    model = _demo_model(args, "uniform_triangle", RegressorSpec("ols"))
+    test = generate(GeneratorSpec("uniform_triangle", args.n, seed=args.seed + 1))
+    foil = sharpness_counterexample_predictor(test.features[:, 0], tau)
     calibrated = model.predict_quantile_batch(test.features, np.array([tau]))[:, 0]
 
     labels = np.where(test.features[:, 0] <= 0.9, "x<=0.9", "x>0.9")
@@ -313,7 +277,7 @@ def _demo_example1(args, outputs: _OutputSet, outdir: Path) -> None:
     }
     payload = {
         "demo": "example1",
-        "n": n,
+        "n": args.n,
         "seed": args.seed,
         "tau": tau,
         "bandwidth": model.config["kernel"]["bandwidth"],
@@ -338,16 +302,7 @@ def _demo_example1(args, outputs: _OutputSet, outdir: Path) -> None:
 
 
 def _demo_sine(args, outputs: _OutputSet, outdir: Path) -> None:
-    n = args.n or _DEMO_DEFAULT_N["sine"]
-    train = generate(GeneratorSpec("sine_hetero", n, seed=args.seed))
-    cfg = CalibrationConfig(
-        regressor=RegressorSpec("knn", knn_k=20),
-        split=SplitSpec(0.5, seed=args.seed),
-        kernel=_parse_kernel(args.bandwidth or _DEMO_DEFAULT_BANDWIDTH["sine"], 1),
-        bandwidth_search=BandwidthSearch(seed=args.seed),
-        seed=args.seed,
-    )
-    model = calibrate(train, cfg)
+    model = _demo_model(args, "sine_hetero", RegressorSpec("knn", knn_k=20))
     xs = np.linspace(0.0, 15.0, 301)
     levels = np.array([0.025, 0.975])
     bands = model.predict_quantile_batch(xs[:, None], levels)
@@ -370,7 +325,7 @@ def _demo_sine(args, outputs: _OutputSet, outdir: Path) -> None:
     )
     payload = {
         "demo": "sine",
-        "n": n,
+        "n": args.n,
         "seed": args.seed,
         "alpha": 0.05,
         "bandwidth": model.config["kernel"]["bandwidth"],
@@ -381,17 +336,8 @@ def _demo_sine(args, outputs: _OutputSet, outdir: Path) -> None:
 
 
 def _demo_scaled_uniform(args, outputs: _OutputSet, outdir: Path) -> None:
-    n = args.n or _DEMO_DEFAULT_N["scaled_uniform"]
     tau = args.tau
-    train = generate(GeneratorSpec("scaled_uniform", n, seed=args.seed))
-    cfg = CalibrationConfig(
-        regressor=RegressorSpec("ols"),
-        split=SplitSpec(0.5, seed=args.seed),
-        kernel=_parse_kernel(args.bandwidth or _DEMO_DEFAULT_BANDWIDTH["scaled_uniform"], 1),
-        bandwidth_search=BandwidthSearch(seed=args.seed),
-        seed=args.seed,
-    )
-    model = calibrate(train, cfg)
+    model = _demo_model(args, "scaled_uniform", RegressorSpec("ols"))
     xs = np.linspace(0.0, 1.0, 201)
     preds = model.predict_quantile_batch(xs[:, None], np.array([tau]))[:, 0]
     rows = [
@@ -401,7 +347,7 @@ def _demo_scaled_uniform(args, outputs: _OutputSet, outdir: Path) -> None:
     _write_csv(outputs, outdir / "scaled_uniform_curve.csv", ["x", "q_pred", "q_oracle"], rows)
     payload = {
         "demo": "scaled_uniform",
-        "n": n,
+        "n": args.n,
         "seed": args.seed,
         "tau": tau,
         "bandwidth": model.config["kernel"]["bandwidth"],
@@ -411,15 +357,20 @@ def _demo_scaled_uniform(args, outputs: _OutputSet, outdir: Path) -> None:
     print(f"curve: {outdir / 'scaled_uniform_curve.csv'}")
 
 
+# each demo with its default row count and bandwidth
+_DEMOS = {
+    "example1": (_demo_example1, 20000, "0.1"),
+    "sine": (_demo_sine, 5000, "auto"),
+    "scaled_uniform": (_demo_scaled_uniform, 5000, "auto"),
+}
+
+
 def _cmd_demo(args, outputs: _OutputSet) -> None:
+    run, n, bandwidth = _DEMOS[args.name]
+    args.n, args.bandwidth = args.n or n, args.bandwidth or bandwidth
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    if args.name == "example1":
-        _demo_example1(args, outputs, outdir)
-    elif args.name == "sine":
-        _demo_sine(args, outputs, outdir)
-    else:
-        _demo_scaled_uniform(args, outputs, outdir)
+    run(args, outputs, outdir)
 
 
 def _cmd_covshift(args, outputs: _OutputSet) -> None:
@@ -522,7 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_evaluate)
 
     p = sub.add_parser("demo", parents=[common], allow_abbrev=False, help="run a built-in synthetic walkthrough")
-    p.add_argument("name", choices=("example1", "sine", "scaled_uniform"))
+    p.add_argument("name", choices=tuple(_DEMOS))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--outdir", default="demo_out")
     p.add_argument("--bandwidth", default=None)
@@ -541,7 +492,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config_pairs(path) -> list[tuple[str, str | None]]:
+def _read_config_pairs(path, command: argparse.ArgumentParser) -> list[tuple[str, str | None]]:
+    # the keys are the command's long options; a switch takes a true/false word
+    switches = {
+        flag[2:].replace("-", "_"): action.nargs == 0
+        for action in command._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag not in ("--help", "--config")
+    }
     pairs: list[tuple[str, str | None]] = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -552,27 +510,26 @@ def _read_config_pairs(path) -> list[tuple[str, str | None]]:
                 raise ValueError(f"{path} line {line_no}: expected key=value, got {text!r}")
             key, value = (part.strip() for part in text.split("=", 1))
             key = key.replace("-", "_")
-            if key in _CONFIG_FLAG_KEYS:
-                low = value.lower()
-                if low in _TRUE_WORDS:
-                    pairs.append((key, None))
-                elif low not in _FALSE_WORDS:
-                    raise ValueError(f"{path} line {line_no}: {key} must be true/false")
-            elif key in _CONFIG_VALUE_KEYS:
+            if key not in switches:
+                raise ValueError(f"{path} line {line_no}: unknown key {key!r} for {command.prog}")
+            if not switches[key]:
                 pairs.append((key, value))
-            else:
-                raise ValueError(f"{path} line {line_no}: unknown key {key!r}")
+            elif value.lower() in _TRUE_WORDS:
+                pairs.append((key, None))
+            elif value.lower() not in _FALSE_WORDS:
+                raise ValueError(f"{path} line {line_no}: {key} must be true/false")
     return pairs
 
 
-def _merge_config(argv: list[str]) -> list[str]:
+def _merge_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Append config-file entries as flags unless the same flag was given
     explicitly, so flags beat the file and the file beats built-in defaults.
 
     Subparsers parse into a fresh namespace, which makes parser-level
     ``set_defaults`` useless for per-command options; rewriting argv also
     lets file values satisfy required arguments and reuse each option's
-    own type conversion. Keys must belong to the invoked subcommand.
+    own type conversion. Keys must belong to the invoked subcommand,
+    ``argv[0]``.
     """
     path = None
     for i, token in enumerate(argv):
@@ -580,10 +537,11 @@ def _merge_config(argv: list[str]) -> list[str]:
             path = argv[i + 1]
         elif token.startswith("--config="):
             path = token.split("=", 1)[1]
-    if path is None:
-        return argv
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if path is None or argv[0] not in commands.choices:
+        return argv  # argparse reports a missing or unknown subcommand
     merged = list(argv)
-    for key, value in _read_config_pairs(path):
+    for key, value in _read_config_pairs(path, commands.choices[argv[0]]):
         flag = "--" + key.replace("_", "-")
         if any(t == flag or t.startswith(flag + "=") for t in argv):
             continue
@@ -597,7 +555,7 @@ def main(argv=None) -> int:
     raw_argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        merged_argv = _merge_config(raw_argv)
+        merged_argv = _merge_config(parser, raw_argv)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

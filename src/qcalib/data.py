@@ -31,6 +31,43 @@ class DatasetError(ValueError):
     """Malformed tabular input or an invalid dataset operation."""
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    # a finite sum has only finite terms; no temporary on that path
+    return math.isfinite(a.sum()) or bool(np.isfinite(a).all())
+
+
+def _query_rows(xs, width: int, finite: bool = True) -> np.ndarray:
+    """``xs`` as an (n, width) float matrix, or :class:`DatasetError`.
+
+    A 1-d input is n rows of one value when ``width`` is 1, else one row.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim == 1:
+        xs = xs.reshape(-1, 1) if width == 1 else xs.reshape(1, -1)
+    if xs.ndim != 2 or xs.shape[1] != width:
+        raise DatasetError(f"queries have shape {xs.shape}, expected (n, {width})")
+    if finite and not _all_finite(xs):
+        row = int(np.argmin(np.isfinite(xs).all(axis=1)))
+        raise DatasetError(f"query row {row} has a non-finite value")
+    return xs
+
+
+def _sample(points, values) -> tuple[np.ndarray, np.ndarray]:
+    """n >= 1 finite points as an (n, d) float matrix (a 1-d input is n
+    points of one coordinate) and their n finite values, or DatasetError."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points.reshape(-1, 1)
+    values = np.asarray(values, dtype=float).ravel()
+    if points.ndim != 2 or points.shape[0] < 1:
+        raise DatasetError("points must form a non-empty 2-d matrix")
+    if values.shape[0] != points.shape[0]:
+        raise DatasetError(f"{values.shape[0]} values for {points.shape[0]} points")
+    if not (_all_finite(points) and _all_finite(values)):
+        raise DatasetError("points and values must be finite")
+    return points, values
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable (n, d) float feature matrix with an aligned target vector.

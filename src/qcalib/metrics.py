@@ -58,6 +58,13 @@ class TauGrid:
         return int(self.levels.size)
 
 
+def _interval_levels(alpha: float) -> TauGrid:
+    """The levels alpha/2 and 1 - alpha/2 of a central (1 - alpha) interval."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+    return TauGrid([alpha / 2.0, 1.0 - alpha / 2.0])
+
+
 def default_tau_grid() -> TauGrid:
     """The standard evaluation grid: 99 levels 0.01, 0.02, ..., 0.99."""
     return TauGrid(np.arange(1, 100) / 100.0)

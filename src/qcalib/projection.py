@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _query_rows
 
 __all__ = [
     "ProjectionMap",
@@ -107,14 +107,12 @@ def correlation_select(data: Dataset, d0: int) -> ProjectionMap:
 
 
 def apply_projection(pmap: ProjectionMap, xs) -> np.ndarray:
-    """Map an (n, input_dim) matrix through the projection."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim == 1:
-        xs = xs.reshape(1, -1)
-    if xs.ndim != 2 or xs.shape[1] != pmap.input_dim:
-        raise ValueError(
-            f"matrix has {xs.shape[-1]} columns, projection expects {pmap.input_dim}"
-        )
+    """Map an (n, input_dim) matrix through the projection.
+
+    A 1-d input is n rows when ``input_dim`` is 1, else one row. Values are
+    not checked for finiteness; the quantile estimator checks its queries.
+    """
+    xs = _query_rows(xs, pmap.input_dim, finite=False)
     if pmap.kind == "identity":
         return xs
     if pmap.kind == "random_gaussian":

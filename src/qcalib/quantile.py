@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import TauGrid, default_tau_grid, pinball_loss
 from . import neighbors
+from .data import _query_rows, _sample
+from .metrics import TauGrid, default_tau_grid, pinball_loss
 
 __all__ = [
     "BandwidthSearch",
@@ -103,18 +104,9 @@ class QuantileEstimator:
     kernel: KernelConfig
 
     def __post_init__(self) -> None:
-        points = np.array(self.points, dtype=float, copy=True)
-        if points.ndim == 1:
-            points = points.reshape(-1, 1)
-        values = np.array(self.values, dtype=float, copy=True).ravel()
-        if points.ndim != 2 or points.shape[0] < 1:
-            raise ValueError("points must form a non-empty 2-d matrix")
-        if values.shape[0] != points.shape[0]:
-            raise ValueError(
-                f"{values.shape[0]} values for {points.shape[0]} points"
-            )
-        if not (np.isfinite(points).all() and np.isfinite(values).all()):
-            raise ValueError("points and values must be finite")
+        points, values = _sample(
+            np.array(self.points, dtype=float), np.array(self.values, dtype=float)
+        )
         points.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "points", points)
@@ -136,16 +128,6 @@ class QuantileEstimator:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def _check_queries(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim == 1:
-            xs = xs.reshape(-1, 1) if self.dim == 1 else xs.reshape(1, -1)
-        if xs.ndim != 2 or xs.shape[1] != self.dim:
-            raise ValueError(f"queries must be (n, {self.dim})")
-        if not np.isfinite(xs).all():
-            raise ValueError("queries must be finite")
-        return xs
-
     def neighborhood(self, x) -> LocalNeighborhood:
         """Indices of stored points within the bandwidth of x (boundary included).
 
@@ -153,7 +135,7 @@ class QuantileEstimator:
         ``min_neighbors``-th nearest distance, so the result is never empty.
         Indices ascend.
         """
-        xs = self._check_queries(np.asarray(x, dtype=float).reshape(1, -1))
+        xs = _query_rows(np.asarray(x, dtype=float).reshape(1, -1), self.dim)
         kernel = self.kernel
         _, _, radii, members = next(
             neighbors.ball_members(xs, self.points, kernel.bandwidth, kernel.min_neighbors)
@@ -173,7 +155,7 @@ class QuantileEstimator:
         A :class:`TauGrid` is taken as already validated.
         """
         levels = taus.levels if isinstance(taus, TauGrid) else TauGrid(taus).levels
-        xs = self._check_queries(xs)
+        xs = _query_rows(xs, self.dim)
         kernel = self.kernel
         out = np.empty((xs.shape[0], levels.shape[0]))
         for start, counts, _, members in neighbors.ball_members(
@@ -267,15 +249,8 @@ def bandwidth_cv_scores(points, values, search: BandwidthSearch) -> tuple[np.nda
     makes one pass of distance blocks, shared by all candidates, and holds
     only its candidates × rows × levels predictions.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points.reshape(-1, 1)
-    values = np.asarray(values, dtype=float).ravel()
+    points, values = _sample(points, values)
     n = values.shape[0]
-    if points.shape[0] != n:
-        raise ValueError(f"{n} values for {points.shape[0]} points")
-    if not (np.isfinite(points).all() and np.isfinite(values).all()):
-        raise ValueError("points and values must be finite")
     if n < search.folds:
         raise ValueError(f"{n} points cannot fill {search.folds} folds")
     levels = (search.tau_grid or default_tau_grid()).levels

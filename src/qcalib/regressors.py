@@ -12,12 +12,11 @@ neighbors come from :func:`qcalib.neighbors.k_nearest`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, DatasetError, _query_rows
 from .neighbors import k_nearest
 
 __all__ = [
@@ -66,18 +65,34 @@ class FittedRegressor:
     external_column: str | None = None
     external_index: int | None = None
 
+    def __post_init__(self) -> None:
+        # fields that do not fit input_dim would broadcast to wrong answers
+        d = self.input_dim
+        if self.kind == "ols":
+            shape = np.shape(self.coefficients)
+            if shape != (d + 1,):
+                raise DatasetError(
+                    f"coefficients have shape {shape}, expected ({d + 1},) for input_dim {d}"
+                )
+        elif self.kind == "knn":
+            shape, n_targets = np.shape(self.train_features), np.shape(self.train_targets)
+            if len(shape) != 2 or shape[1] != d or n_targets != shape[:1]:
+                raise DatasetError(
+                    f"train_features and train_targets have shapes {shape} and {n_targets}, "
+                    f"expected (n, {d}) and (n,)"
+                )
+            if not 1 <= self.knn_k <= shape[0]:
+                raise DatasetError(
+                    f"knn_k={self.knn_k} is below 1 or exceeds the {shape[0]} training rows"
+                )
+        elif self.kind == "external":
+            if not 0 <= self.external_index < d:
+                raise DatasetError(f"external_index {self.external_index} is outside input_dim {d}")
+        else:
+            raise DatasetError(f"unknown regressor kind {self.kind!r}, expected one of {_KINDS}")
+
     def predict(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim == 1:
-            xs = xs.reshape(-1, 1) if self.input_dim == 1 else xs.reshape(1, -1)
-        if xs.ndim != 2 or xs.shape[1] != self.input_dim:
-            raise ValueError(
-                f"queries have {xs.shape[-1]} columns, model expects {self.input_dim}"
-            )
-        # a finite sum has only finite terms; no (n, d) temporary on that path
-        if not math.isfinite(xs.sum()) and not np.isfinite(xs).all():
-            row = int(np.argmin(np.isfinite(xs).all(axis=1)))
-            raise ValueError(f"query row {row} has a non-finite value")
+        xs = _query_rows(xs, self.input_dim)
         if self.kind == "ols":
             # an elementwise product summed along contiguous rows rounds the
             # same for every row; a matrix-vector product does not
@@ -110,8 +125,6 @@ def fit_regressor(spec: RegressorSpec, train: Dataset) -> FittedRegressor:
             raise ValueError("least squares produced non-finite coefficients")
         return FittedRegressor(kind="ols", input_dim=train.d, coefficients=beta)
     if spec.kind == "knn":
-        if spec.knn_k > train.n:
-            raise ValueError(f"knn_k={spec.knn_k} exceeds the {train.n} training rows")
         return FittedRegressor(
             kind="knn",
             input_dim=train.d,

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from qcalib.cli import main
+from qcalib.cli import _build_parser, _merge_config, main
 from qcalib.data import Dataset, load_csv, save_csv
 from qcalib.synthetic import GeneratorSpec, generate
 
@@ -185,6 +186,41 @@ class TestConfigFile:
         assert rc == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_every_long_option_is_a_config_key(self, tmp_path):
+        # keys come from the parser, so a new flag is a key with nothing else to edit
+        parser = _build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        cfg = tmp_path / "run.cfg"
+        for name, command in commands.choices.items():
+            for action in command._actions:
+                for flag in action.option_strings:
+                    if not flag.startswith("--") or flag in ("--help", "--config"):
+                        continue
+                    key = flag[2:].replace("-", "_")
+                    argv = [name, "--config", str(cfg)]
+                    if action.nargs == 0:
+                        for word, added in (("Yes", [flag]), ("off", [])):
+                            cfg.write_text(f"{key} = {word}\n")
+                            assert _merge_config(parser, argv)[3:] == added, (name, key)
+                        cfg.write_text(f"{key} = maybe\n")
+                        with pytest.raises(ValueError, match="true/false"):
+                            _merge_config(parser, argv)
+                    else:
+                        cfg.write_text(f"{key} = 7\n")
+                        assert _merge_config(parser, argv)[3:] == [flag, "7"], (name, key)
+
+    @pytest.mark.parametrize(
+        "command, line, key",
+        [("calibrate", "taus = 0.5", "taus"), ("predict", "no_shuffle = true", "no_shuffle")],
+    )
+    def test_key_of_another_subcommand_rejected(self, tmp_path, capsys, command, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 1\n{line}\n")
+        rc = main([command, "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{cfg} line 2: unknown key {key!r}" in err
+
     def test_malformed_line_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just some words\n")
@@ -305,6 +341,97 @@ class TestPredict:
         assert "expected a JSON object" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "p.csv").exists()
+
+    def test_bad_taus_named(self, tmp_path, train_csv, test_csv, capsys):
+        model_path = run_calibrate(tmp_path, train_csv)
+        out = tmp_path / "p.csv"
+        rc = main(
+            [
+                "predict",
+                "--model",
+                str(model_path),
+                "--input",
+                str(test_csv),
+                "--output",
+                str(out),
+                "--taus",
+                "0.5,abc",
+            ]
+        )
+        assert rc == 2
+        assert "--taus '0.5,abc'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _drop_coefficient(blob):
+    blob["regressor"]["coefficients"] = blob["regressor"]["coefficients"][:1]
+
+
+def _widen_train_features(blob):
+    rows = blob["regressor"]["train_features"]
+    blob["regressor"]["train_features"] = [row + [0.0] for row in rows]
+
+
+@pytest.mark.parametrize(
+    "regressor, corrupt, field",
+    [
+        ("ols", lambda b: b["quantile_estimator"].update(min_neighbors=None), "min_neighbors"),
+        ("ols", lambda b: b.update(feature_names=5), "feature_names"),
+        ("ols", lambda b: b.update(feature_names=["x", "x"]), "feature_names"),
+        ("ols", lambda b: b.update(projection=3), "projection"),
+        ("ols", lambda b: b.pop("config"), "config"),
+        ("ols", _drop_coefficient, "coefficients"),
+        ("ols", lambda b: b["regressor"].update(kind="forest"), "kind"),
+        ("knn", _widen_train_features, "train_features"),
+        ("knn", lambda b: b["regressor"]["train_targets"].pop(), "train_targets"),
+        ("knn", lambda b: b["regressor"].update(knn_k=0), "knn_k"),
+        ("knn", lambda b: b["regressor"].update(knn_k=10**6), "knn_k"),
+        ("external", lambda b: b["regressor"].update(external_index=2), "external_index"),
+        (
+            "ols --projection correlation --projection-dim 1",
+            lambda b: b["projection"].update(selected_indices=[None]),
+            "selected_indices",
+        ),
+    ],
+    ids=[
+        "null_min_neighbors",
+        "scalar_feature_names",
+        "repeated_feature_names",
+        "scalar_projection",
+        "missing_config",
+        "truncated_ols_coefficients",
+        "unknown_kind",
+        "wide_knn_features",
+        "short_knn_targets",
+        "knn_k_zero",
+        "knn_k_above_rows",
+        "external_index_out_of_range",
+        "null_selected_index",
+    ],
+)
+def test_malformed_model_document_exits_2_naming_the_field(
+    tmp_path, capsys, regressor, corrupt, field
+):
+    data = generate(GeneratorSpec("sine_hetero", 200, seed=3))
+    train_csv = tmp_path / "train.csv"
+    with_pred = np.column_stack([data.features, data.target])
+    save_csv(Dataset(with_pred, data.target, ("x", "pred")), train_csv)
+    model_path = run_calibrate(
+        tmp_path, train_csv, "--regressor", *regressor.split(), "--external-column", "pred"
+    )
+    blob = json.loads(model_path.read_text())
+    corrupt(blob)
+    model_path.write_text(json.dumps(blob))
+    capsys.readouterr()
+    out = tmp_path / "p.csv"
+    rc = main(
+        ["predict", "--model", str(model_path), "--input", str(train_csv), "--output", str(out)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(model_path) in err and field in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 class TestEvaluate:

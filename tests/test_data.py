@@ -8,6 +8,8 @@ from qcalib.data import (
     DatasetError,
     SplitSpec,
     Standardizer,
+    _query_rows,
+    _sample,
     apply_standardizer,
     fit_standardizer,
     load_csv,
@@ -217,3 +219,34 @@ class TestStandardizer:
     def test_rejects_negative_stddev(self):
         with pytest.raises(DatasetError):
             Standardizer(means=[0.0], stddevs=[-1.0])
+
+
+class TestRowChecks:
+    def test_one_d_input_is_rows_for_width_one_else_one_row(self):
+        assert _query_rows([1.0, 2.0, 3.0], 1).shape == (3, 1)
+        assert _query_rows([1.0, 2.0, 3.0], 3).shape == (1, 3)
+
+    def test_width_mismatch(self):
+        with pytest.raises(DatasetError, match=r"shape \(2, 3\), expected \(n, 2\)"):
+            _query_rows(np.zeros((2, 3)), 2)
+        with pytest.raises(DatasetError, match="expected"):
+            _query_rows(5.0, 1)  # a scalar is not a row
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_named_unless_unchecked(self, bad):
+        xs = np.array([[0.0, 1.0], [2.0, bad], [4.0, 5.0]])
+        with pytest.raises(DatasetError, match="query row 1 has a non-finite value"):
+            _query_rows(xs, 2)
+        assert _query_rows(xs, 2, finite=False) is xs
+
+    def test_sample_checks(self):
+        points, values = _sample([0.0, 1.0, 2.0], [[3.0], [4.0], [5.0]])
+        assert points.shape == (3, 1) and values.shape == (3,)
+        with pytest.raises(DatasetError, match="2 values for 3 points"):
+            _sample(np.zeros((3, 2)), [1.0, 2.0])
+        with pytest.raises(DatasetError, match="non-empty"):
+            _sample(np.zeros((0, 2)), [])
+        with pytest.raises(DatasetError, match="finite"):
+            _sample(np.zeros((2, 1)), [1.0, np.inf])
+        with np.errstate(over="ignore"):  # the sum overflows; the entrywise check decides
+            _sample([[1e308], [1e308]], [1e308, 1e308])

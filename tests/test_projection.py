@@ -120,6 +120,13 @@ class TestProjectionMap:
         with pytest.raises(ValueError):
             ProjectionMap("mystery", 3, 2)
 
+    def test_one_d_input_to_one_input_map_is_rows(self):
+        # the same rule as the estimator and the regressors: n rows of one value
+        out = apply_projection(ProjectionMap("identity", 1, 1), np.array([1.0, 2.0, 3.0]))
+        assert out.tolist() == [[1.0], [2.0], [3.0]]
+        pmap = ProjectionMap("covariate_select", 3, 1, selected_indices=(2,))
+        assert apply_projection(pmap, np.array([1.0, 2.0, 3.0])).tolist() == [[3.0]]
+
     def test_width_mismatch_on_apply(self):
         pmap = ProjectionMap("identity", 2, 2)
         with pytest.raises(ValueError):
