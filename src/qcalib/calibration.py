@@ -117,6 +117,8 @@ class CalibratedModel:
         return float(self.residual_quantile_batch(row, [tau])[0, 0])
 
     def residual_quantile_batch(self, xs, taus) -> np.ndarray:
+        # the raw rows: standardizing sets constant columns to 0, NaN included
+        xs = _query_rows(xs, self.input_dim)
         return self.quantile_estimator.predict_quantile_batch(
             self.transform_features(xs), taus
         )
@@ -128,7 +130,12 @@ class CalibratedModel:
 
     def predict_quantile_batch(self, xs, taus) -> np.ndarray:
         """(n_queries, n_levels) matrix of calibrated quantiles."""
-        return self.regressor.predict(xs)[:, None] + self.residual_quantile_batch(xs, taus)
+        # the regressor checks the raw rows, as residual_quantile_batch would
+        base = self.regressor.predict(xs)
+        quantiles = self.quantile_estimator.predict_quantile_batch(
+            self.transform_features(xs), taus
+        )
+        return base[:, None] + quantiles
 
     def predict_interval(self, x, alpha: float) -> tuple[float, float]:
         """Central (1 - alpha) interval from the alpha/2 and 1 - alpha/2 quantiles."""
@@ -332,7 +339,8 @@ def model_from_dict(blob: dict) -> CalibratedModel:
     """The model a :func:`model_to_dict` document describes.
 
     A missing or malformed field raises :class:`DatasetError` naming its
-    dotted path; fields that do not fit together raise ``ValueError``.
+    dotted path, and so do parts whose widths disagree (naming both); other
+    fields that do not fit together raise ``ValueError``.
     """
     if not isinstance(blob, dict):
         raise DatasetError(f"not a {MODEL_FORMAT} document: expected a JSON object")
@@ -348,18 +356,44 @@ def model_from_dict(blob: dict) -> CalibratedModel:
             _get(blob, "quantile_estimator.min_neighbors", int),
         ),
     )
-    return CalibratedModel(
+    means = _get(blob, "standardizer.means", _floats)
+    stddevs = _get(blob, "standardizer.stddevs", _floats)
+    try:
+        standardizer = Standardizer(means, stddevs)
+    except DatasetError as exc:
+        raise DatasetError(
+            f"model fields standardizer.means and standardizer.stddevs: {exc}"
+        ) from None
+    model = CalibratedModel(
         regressor=_regressor_from_dict(blob),
         quantile_estimator=estimator,
-        standardizer=Standardizer(
-            _get(blob, "standardizer.means", _floats),
-            _get(blob, "standardizer.stddevs", _floats),
-        ),
+        standardizer=standardizer,
         projection=_projection_from_dict(blob),
         feature_names=_get(blob, "feature_names", _unique_names),
         target_name=_get(blob, "target_name"),
         config=_get(blob, "config"),
     )
+    _check_widths(model)
+    return model
+
+
+def _check_widths(model: CalibratedModel) -> None:
+    """DatasetError naming both fields where two parts of a model disagree on
+    a width, checked in the order the parts are applied."""
+    pmap, width = model.projection, model.standardizer.d
+    columns = len(model._quantile_columns())
+    pairs = [
+        ("regressor.input_dim", model.regressor.input_dim, "feature_names", model.input_dim),
+        ("standardizer.means", width, "non-external feature_names", columns),
+    ]
+    last = ("standardizer.means", width)
+    if pmap is not None:
+        pairs.append(("projection.input_dim", pmap.input_dim, "standardizer.means", width))
+        last = ("projection.output_dim", pmap.output_dim)
+    pairs.append(("quantile_estimator.points", model.quantile_estimator.dim, *last))
+    for name, got, other, want in pairs:
+        if got != want:
+            raise DatasetError(f"model field {name} has width {got}, but {other} has {want}")
 
 
 def save_model(model: CalibratedModel, path) -> None:

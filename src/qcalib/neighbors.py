@@ -2,10 +2,19 @@
 
 Every membership and nearness decision uses distances computed here, one way:
 difference, square, sum over coordinates, square root (the Gram shortcut
-rounds differently and moves points across a ``<=`` boundary). Queries go in
-row blocks whose ``(rows, n, d)`` difference temporary holds at most
-``_BLOCK_BUDGET`` entries, and each block's arrays are dropped before the
-next is built. Per-pair distances do not depend on the block size.
+rounds differently and moves points across a ``<=`` boundary).
+
+Queries go in row blocks of at most ``_BLOCK_BUDGET`` query-coordinate-point
+entries (rows × n × d), a size that keeps a block's work in cache. A block
+never holds a ``(rows, n, d)`` difference array: each coordinate's squared
+differences are added into ``(rows, n)`` accumulators, read from the points'
+coordinate rows. Points stored column-major make those rows a view, so the
+estimator, the kNN regressor and cross-validation keep theirs that way. The
+additions follow numpy's own pairwise order for a sum over a contiguous last
+axis, so every distance equals ``sqrt(((q - p) ** 2).sum(axis=-1))`` bit for
+bit; ``tests/test_neighbors.py`` checks this, so a numpy that changes that
+order fails there. Each block's arrays are dropped before the next is built,
+and per-pair distances do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -16,19 +25,57 @@ import numpy as np
 
 __all__ = ["ball_members", "block_balls", "k_nearest"]
 
-_BLOCK_BUDGET = 8_000_000
+# rows × n × d entries per block; 125 k to 1 M ran alike, 8 M up to 1.8x slower
+_BLOCK_BUDGET = 500_000
+# numpy's pairwise summation: 8 accumulators up to this many terms, halves above
+_PAIRWISE_BLOCK = 128
+
+
+def _squares(queries: np.ndarray, cols: np.ndarray, j: int, out=None) -> np.ndarray:
+    """(rows, n) squared differences along coordinate ``j``."""
+    out = np.subtract(queries[:, j, None], cols[j], out=out)
+    return np.square(out, out=out)
+
+
+def _square_sum(queries: np.ndarray, cols: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Sum of the squared differences along coordinates ``lo:hi``, added in
+    the order of numpy's ``pairwise_sum`` over a contiguous axis."""
+    count = hi - lo
+    if count > _PAIRWISE_BLOCK:
+        half = count // 2 - count // 2 % 8
+        acc = _square_sum(queries, cols, lo, lo + half)
+        acc += _square_sum(queries, cols, lo + half, hi)
+        return acc
+    if count == 0:  # zero-width points: every distance is 0
+        return np.zeros((queries.shape[0], cols.shape[1]))
+    tmp = None
+    if count < 8:
+        acc, rest = _squares(queries, cols, lo), range(lo + 1, hi)
+    else:
+        r = [_squares(queries, cols, j) for j in range(lo, lo + 8)]
+        tail = hi - count % 8
+        for j in range(lo + 8, tail):
+            tmp = _squares(queries, cols, j, tmp)
+            r[(j - lo) % 8] += tmp
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            r[a] += r[b]
+        acc, rest = r[0], range(tail, hi)
+        del r
+    for j in rest:
+        tmp = _squares(queries, cols, j, tmp)
+        acc += tmp
+    return acc
 
 
 def _distance_blocks(queries: np.ndarray, points: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     n, d = points.shape
     rows = max(1, _BLOCK_BUDGET // max(1, n * d))
+    cols = np.ascontiguousarray(points.T)  # a view of column-major points
     for start in range(0, queries.shape[0], rows):
-        sq = queries[start : start + rows, None, :] - points[None, :, :]
-        np.square(sq, out=sq)
-        # a sum over a single coordinate is that coordinate, bit for bit
-        sq = sq.reshape(sq.shape[:2]) if d == 1 else sq.sum(axis=2)
-        yield start, np.sqrt(sq, out=sq)
-        del sq
+        dists = _square_sum(queries[start : start + rows], cols, 0, d)
+        yield start, np.sqrt(dists, out=dists)
+        del dists
 
 
 def _k_smallest(dists: np.ndarray, k: int) -> np.ndarray:
@@ -60,9 +107,10 @@ def block_balls(dists: np.ndarray, radius: float, k: int) -> tuple[np.ndarray, .
     :func:`ball_members`. ``k`` is the minimum count, already capped at n."""
     inside = dists <= radius
     counts = inside.sum(axis=1)
-    radii = np.full(counts.shape[0], float(radius))
-    short = counts < k
-    if short.any():
+    radii = np.empty(counts.shape[0])
+    radii.fill(radius)
+    short = (counts < k).nonzero()[0]
+    if short.size:
         near = dists[short]
         radii[short] = np.partition(near, k - 1, axis=1)[:, k - 1]
         inside[short] = near <= radii[short, None]

@@ -96,7 +96,8 @@ class QuantileEstimator:
     """Stored calibration sample plus its kernel; see the module docstring.
 
     ``points`` and ``values`` stay verbatim; a private copy of both in stable
-    value order, never serialized, is what the kernel scans.
+    value order (the points column-major), never serialized, is what the
+    kernel scans.
     """
 
     points: np.ndarray  # (n, d)
@@ -112,7 +113,7 @@ class QuantileEstimator:
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "values", values)
         order = np.argsort(values, kind="stable")
-        object.__setattr__(self, "_points_by_value", points[order])
+        object.__setattr__(self, "_points_by_value", np.asfortranarray(points[order]))
         object.__setattr__(self, "_values_by_value", values[order])
 
     @classmethod
@@ -261,7 +262,8 @@ def bandwidth_cv_scores(points, values, search: BandwidthSearch) -> tuple[np.nda
         mask = np.ones(n, dtype=bool)
         mask[held_out] = False
         order = np.argsort(values[mask], kind="stable")
-        kept_points, kept_values = points[mask][order], values[mask][order]
+        kept_points = np.asfortranarray(points[mask][order])
+        kept_values = values[mask][order]
         preds = np.empty((candidates.shape[0], held_out.shape[0], levels.shape[0]))
         for start, dists in neighbors._distance_blocks(points[held_out], kept_points):
             for ci, h in enumerate(candidates):

@@ -85,6 +85,10 @@ class FittedRegressor:
                 raise DatasetError(
                     f"knn_k={self.knn_k} is below 1 or exceeds the {shape[0]} training rows"
                 )
+            # column-major, so the distance kernel reads each coordinate without a copy
+            object.__setattr__(
+                self, "train_features", np.array(self.train_features, dtype=float, order="F")
+            )
         elif self.kind == "external":
             if not 0 <= self.external_index < d:
                 raise DatasetError(f"external_index {self.external_index} is outside input_dim {d}")
@@ -128,7 +132,7 @@ def fit_regressor(spec: RegressorSpec, train: Dataset) -> FittedRegressor:
         return FittedRegressor(
             kind="knn",
             input_dim=train.d,
-            train_features=train.features.copy(),
+            train_features=train.features,
             train_targets=train.target.copy(),
             knn_k=spec.knn_k,
         )

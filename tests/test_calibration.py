@@ -104,6 +104,20 @@ class TestPipelineMechanics:
         assert model.quantile_estimator.dim == 1
         assert model.transform_features(feats[:4]).shape == (4, 1)
 
+    def test_nan_in_constant_column_rejected(self):
+        # standardizing maps a constant column to 0, NaN included, so the
+        # raw row must be checked before it is transformed
+        x = np.linspace(0.0, 1.0, 40)
+        feats = np.column_stack([x, np.full(40, 2.0)])
+        data = Dataset(feats, x + np.sin(9.0 * x), ("x", "c"))
+        model = calibrate(data, fixed_cfg(bandwidth=0.3))
+        assert model.standardizer.stddevs[1] == 0.0
+        for predict in (model.residual_quantile_batch, model.predict_quantile_batch):
+            with pytest.raises(DatasetError, match="query row 1 has a non-finite value"):
+                predict([[0.5, 2.0], [0.5, np.nan]], [0.5])
+        with pytest.raises(DatasetError, match="non-finite"):
+            model.residual_quantile([0.5, np.nan], 0.5)
+
     def test_needs_four_rows(self):
         with pytest.raises(DatasetError):
             calibrate(line_dataset(3), fixed_cfg())

@@ -372,6 +372,16 @@ def _widen_train_features(blob):
     blob["regressor"]["train_features"] = [row + [0.0] for row in rows]
 
 
+def _widen_standardizer(blob):
+    blob["standardizer"]["means"].append(0.0)
+    blob["standardizer"]["stddevs"].append(1.0)
+
+
+def _widen_estimator_points(blob):
+    rows = blob["quantile_estimator"]["points"]
+    blob["quantile_estimator"]["points"] = [row + [0.0] for row in rows]
+
+
 @pytest.mark.parametrize(
     "regressor, corrupt, field",
     [
@@ -392,6 +402,26 @@ def _widen_train_features(blob):
             lambda b: b["projection"].update(selected_indices=[None]),
             "selected_indices",
         ),
+        ("ols", _widen_standardizer, "standardizer.means"),
+        (
+            "ols --projection correlation --projection-dim 1",
+            lambda b: b["projection"].update(input_dim=3),
+            "projection.input_dim",
+        ),
+        (
+            "ols --projection correlation --projection-dim 1",
+            _widen_estimator_points,
+            "quantile_estimator.points",
+        ),
+        ("external", _widen_estimator_points, "quantile_estimator.points"),
+        ("external", lambda b: b["regressor"].update(input_dim=3), "regressor.input_dim"),
+        ("ols", lambda b: b["standardizer"]["stddevs"].pop(), "standardizer.stddevs"),
+        ("ols", lambda b: b["standardizer"]["stddevs"].__setitem__(0, -1.0), "standardizer.stddevs"),
+        (
+            "ols",
+            lambda b: b["standardizer"]["stddevs"].__setitem__(0, float("inf")),
+            "standardizer.stddevs",
+        ),
     ],
     ids=[
         "null_min_neighbors",
@@ -407,6 +437,14 @@ def _widen_train_features(blob):
         "knn_k_above_rows",
         "external_index_out_of_range",
         "null_selected_index",
+        "standardizer_wider_than_columns",
+        "projection_input_not_standardizer_width",
+        "points_wider_than_projection_output",
+        "points_wider_than_standardizer",
+        "regressor_input_dim_not_feature_count",
+        "short_stddevs",
+        "negative_stddev",
+        "infinite_stddev",
     ],
 )
 def test_malformed_model_document_exits_2_naming_the_field(

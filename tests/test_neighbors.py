@@ -15,10 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcalib import neighbors
+from qcalib.calibration import CalibrationConfig, calibrate, load_model, save_model
+from qcalib.data import Dataset
 from qcalib.metrics import default_tau_grid
-from qcalib.quantile import KernelConfig, QuantileEstimator, _left_quantile_ranks
+from qcalib.quantile import (
+    BandwidthSearch,
+    KernelConfig,
+    QuantileEstimator,
+    _left_quantile_ranks,
+    bandwidth_cv_scores,
+)
 from qcalib.reference import sorted_left_quantile
-from qcalib.regressors import FittedRegressor
+from qcalib.regressors import FittedRegressor, RegressorSpec
 
 ROWS_PER_BLOCK = 3
 LEVELS = (0.01, 0.14, 1.0 / 3.0, 0.5, 0.77, 0.99)
@@ -107,3 +115,52 @@ def test_rank_matches_float_cdf_search_exhaustively():
     for m in counts:
         want = np.searchsorted(np.arange(1, m + 1, dtype=float) / m, levels, side="left")
         assert ranks[m - 1].tolist() == want.tolist(), m
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 20, 129, 300])
+def test_distances_equal_numpy_sum_bitwise(monkeypatch, d):
+    # the kernel adds coordinates in numpy's pairwise order for a sum over a
+    # contiguous last axis: sequential below 8 terms, 8 accumulators up to
+    # 128, halves above; a numpy that sums otherwise fails here
+    rng = np.random.default_rng(d)
+    points = rng.normal(size=(23, d)) * rng.choice([1e-3, 1.0, 1e3], size=d)
+    queries = rng.normal(size=(10, d))
+    queries[2] = np.nan
+    queries[5, d // 2] = np.inf
+    want = np.sqrt(((queries[:, None] - points[None]) ** 2).sum(axis=2))
+    monkeypatch.setattr(neighbors, "_BLOCK_BUDGET", 4 * points.size)
+    for stored in (points, np.asfortranarray(points)):
+        got = np.full_like(want, -1.0)
+        starts = []
+        for start, block in neighbors._distance_blocks(queries, stored):
+            got[start : start + block.shape[0]] = block
+            starts.append(start)
+        assert starts == [0, 4, 8]  # blocks of 4 rows, the last one partial
+        assert got.tobytes() == want.tobytes()
+
+
+def test_stored_points_are_read_without_a_copy(tmp_path, monkeypatch):
+    # the kernel reads coordinate rows of the points' transpose; every caller
+    # that keeps points stores them column-major so that is a view
+    seen = []
+    inner = neighbors._distance_blocks
+
+    def recorded(queries, points):
+        seen.append(points)
+        return inner(queries, points)
+
+    monkeypatch.setattr(neighbors, "_distance_blocks", recorded)
+    rng = np.random.default_rng(0)
+    features = rng.normal(size=(60, 3))
+    data = Dataset(features, features.sum(axis=1) + rng.normal(size=60), ("a", "b", "c"))
+    cfg = CalibrationConfig(RegressorSpec("knn", knn_k=3), kernel=KernelConfig(0.9))
+    save_model(calibrate(data, cfg), tmp_path / "model.json")
+    model = load_model(tmp_path / "model.json")
+    seen.clear()
+    model.predict_quantile_batch(features[:5], [0.5])
+    bandwidth_cv_scores(features, data.target, BandwidthSearch(folds=3))
+    assert len(seen) == 2 + 3  # kNN, the estimator, one pass per CV fold
+    assert seen[0] is model.regressor.train_features
+    assert seen[1] is model.quantile_estimator._points_by_value
+    for points in seen:
+        assert np.shares_memory(np.ascontiguousarray(points.T), points)
