@@ -1,8 +1,8 @@
 """Blocked Euclidean neighbor queries: many queries against stored points.
 
-Every membership and nearness decision uses distances computed here, one way:
-difference, square, sum over coordinates, square root (the Gram shortcut
-rounds differently and moves points across a ``<=`` boundary).
+Every distance the package uses is computed here, one way: difference,
+square, sum over coordinates, square root. Balls, kNN order and the pairwise
+distances of the bandwidth grid (:func:`pair_distances`) all round alike.
 
 Queries go in row blocks of at most ``_BLOCK_BUDGET`` query-coordinate-point
 entries (rows × n × d), a size that keeps a block's work in cache. A block
@@ -23,7 +23,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-__all__ = ["ball_members", "block_balls", "k_nearest"]
+__all__ = ["block_balls", "k_nearest", "pair_distances"]
 
 # rows × n × d entries per block; 125 k to 1 M ran alike, 8 M up to 1.8x slower
 _BLOCK_BUDGET = 500_000
@@ -78,6 +78,25 @@ def _distance_blocks(queries: np.ndarray, points: np.ndarray) -> Iterator[tuple[
         del dists
 
 
+def pair_distances(points: np.ndarray) -> np.ndarray:
+    """Distances of all row pairs i < j, ordered by i then j, each equal to
+    ``sqrt(((points[i] - points[j]) ** 2).sum())`` bit for bit; a row block
+    is summed against the points after its first row, in the same budget."""
+    m, d = points.shape
+    rows = max(1, _BLOCK_BUDGET // max(1, m * d))
+    cols = np.ascontiguousarray(points.T)
+    out = np.empty(m * (m - 1) // 2)
+    filled = 0
+    for start in range(0, m, rows):
+        block = _square_sum(points[start : start + rows], cols[:, start + 1 :], 0, d)
+        # row start + r keeps its pairs with the points after it: columns r on
+        upper = block[np.arange(block.shape[1]) >= np.arange(block.shape[0])[:, None]]
+        del block
+        np.sqrt(upper, out=out[filled : filled + upper.shape[0]])
+        filled += upper.shape[0]
+    return out
+
+
 def _k_smallest(dists: np.ndarray, k: int) -> np.ndarray:
     """Column indices of each row's k smallest entries, ordered by (value, index)."""
     part = np.argpartition(dists, k - 1, axis=1)[:, :k]
@@ -102,9 +121,11 @@ def k_nearest(queries: np.ndarray, points: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def block_balls(dists: np.ndarray, radius: float, k: int) -> tuple[np.ndarray, ...]:
-    """``(counts, radii, members)`` of one distance block's balls; see
-    :func:`ball_members`. ``k`` is the minimum count, already capped at n."""
+def block_balls(dists: np.ndarray, radius: float, min_count: int) -> tuple[np.ndarray, ...]:
+    """``(counts, radii, members)`` of one distance block's balls: each row's
+    points within ``radius``, boundary included, or within its ``min_count``-th
+    (capped at n) nearest distance where fewer; members row after row, ascending."""
+    k = min(min_count, dists.shape[1])
     inside = dists <= radius
     counts = inside.sum(axis=1)
     radii = np.empty(counts.shape[0])
@@ -120,22 +141,3 @@ def block_balls(dists: np.ndarray, radius: float, k: int) -> tuple[np.ndarray, .
     members = inside.ravel().nonzero()[0]
     members %= dists.shape[1]
     return counts, radii, members
-
-
-def ball_members(
-    queries: np.ndarray, points: np.ndarray, radius: float, min_count: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Stored points within ``radius`` of each query, boundary included.
-
-    A query with fewer than ``min_count`` members (capped at n) takes its
-    ``min_count``-th nearest distance as radius instead. Yields per block
-    ``(start, counts, radii, members)``: the block's first query row, each
-    query's member count and radius, and all members' point indices, query
-    after query, each query's ascending.
-    """
-    k = min(min_count, points.shape[0])
-    for start, dists in _distance_blocks(queries, points):
-        counts, radii, members = block_balls(dists, radius, k)
-        # unbound before the next block is built, or both would be alive
-        del dists
-        yield start, counts, radii, members

@@ -9,15 +9,15 @@ whose empirical CDF weight reaches the requested level. That element is also
 the smallest minimizer of the neighborhood's average pinball loss, which is
 what makes the closed form valid.
 
-Balls come from :mod:`qcalib.neighbors`, run over the points in value order
-(sorted once, at construction), so members arrive sorted and a quantile is a
-vectorized rank lookup. The single-query methods are batches of one.
+Distance blocks from :mod:`qcalib.neighbors` run over the points in value
+order (sorted once, at construction); one step turns a block into quantiles:
+balls, then ranks, then values. Single-query methods are batches of one.
 
 Bandwidth selection is K-fold cross-validation of the pinball loss over a
-candidate grid drawn from the quantiles of pairwise inter-point distances.
-Distances do not depend on the bandwidth, so each fold makes one distance
-pass from its held-out rows to its kept points, and every candidate takes its
-balls and quantiles from the same blocks, through the estimator's own code.
+candidate grid drawn from the quantiles of pairwise inter-point distances,
+computed by the kernel's pair pass. Each fold makes one distance pass from
+its held-out rows to its kept points, and every candidate takes its
+quantiles from the same blocks, through the estimator's own step.
 """
 
 from __future__ import annotations
@@ -54,13 +54,21 @@ def _left_quantile_ranks(counts: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return (c - 2.0 + ((c - 1.0) / m < levels) + (c / m < levels)).astype(np.intp)
 
 
-def _left_quantile_picks(
-    counts: np.ndarray, members: np.ndarray, levels: np.ndarray
+def _ball_quantiles(
+    dists: np.ndarray, values: np.ndarray, kernel: KernelConfig, levels: np.ndarray
 ) -> np.ndarray:
-    """(len(counts), len(levels)) entries of ``members`` at each ball's left
-    quantiles, for members listed ball after ball, each ball's in value order."""
+    """(rows, len(levels)) left quantiles over one distance block's balls, for
+    points and ``values`` in value order, so a quantile is a rank lookup."""
+    counts, _, members = neighbors.block_balls(dists, kernel.bandwidth, kernel.min_neighbors)
     first = counts.cumsum() - counts
-    return members[_left_quantile_ranks(counts, levels) + first[:, None]]
+    return values[members[_left_quantile_ranks(counts, levels) + first[:, None]]]
+
+
+def _by_value(points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points and values in stable value order, the points column-major so the
+    kernel reads their coordinate rows without a copy."""
+    order = np.argsort(values, kind="stable")
+    return np.asfortranarray(points[order]), values[order]
 
 
 @dataclass(frozen=True)
@@ -112,9 +120,9 @@ class QuantileEstimator:
         values.setflags(write=False)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "values", values)
-        order = np.argsort(values, kind="stable")
-        object.__setattr__(self, "_points_by_value", np.asfortranarray(points[order]))
-        object.__setattr__(self, "_values_by_value", values[order])
+        points_by_value, values_by_value = _by_value(points, values)
+        object.__setattr__(self, "_points_by_value", points_by_value)
+        object.__setattr__(self, "_values_by_value", values_by_value)
 
     @classmethod
     def fit(cls, points, values, kernel: KernelConfig) -> "QuantileEstimator":
@@ -138,9 +146,8 @@ class QuantileEstimator:
         """
         xs = _query_rows(np.asarray(x, dtype=float).reshape(1, -1), self.dim)
         kernel = self.kernel
-        _, _, radii, members = next(
-            neighbors.ball_members(xs, self.points, kernel.bandwidth, kernel.min_neighbors)
-        )
+        _, dists = next(neighbors._distance_blocks(xs, self.points))
+        _, radii, members = neighbors.block_balls(dists, kernel.bandwidth, kernel.min_neighbors)
         return LocalNeighborhood(members, float(radii[0]))
 
     def predict_quantile(self, x, tau: float) -> float:
@@ -157,13 +164,11 @@ class QuantileEstimator:
         """
         levels = taus.levels if isinstance(taus, TauGrid) else TauGrid(taus).levels
         xs = _query_rows(xs, self.dim)
-        kernel = self.kernel
         out = np.empty((xs.shape[0], levels.shape[0]))
-        for start, counts, _, members in neighbors.ball_members(
-            xs, self._points_by_value, kernel.bandwidth, kernel.min_neighbors
-        ):
-            picks = _left_quantile_picks(counts, members, levels)
-            out[start : start + counts.shape[0]] = self._values_by_value[picks]
+        for start, dists in neighbors._distance_blocks(xs, self._points_by_value):
+            quantiles = _ball_quantiles(dists, self._values_by_value, self.kernel, levels)
+            out[start : start + dists.shape[0]] = quantiles
+            del dists  # before the next block is built
         return out
 
 
@@ -208,14 +213,8 @@ _PAIRWISE_CAP = 2000
 def _pairwise_distance_candidates(points: np.ndarray, seed: int) -> np.ndarray:
     n = points.shape[0]
     if n > _PAIRWISE_CAP:
-        rows = np.random.default_rng([seed, 1]).choice(n, _PAIRWISE_CAP, replace=False)
-        sub = points[rows]
-    else:
-        sub = points
-    sq = (sub**2).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (sub @ sub.T)
-    iu = np.triu_indices(sub.shape[0], k=1)
-    dists = np.sqrt(np.clip(d2[iu], 0.0, None))
+        points = points[np.random.default_rng([seed, 1]).choice(n, _PAIRWISE_CAP, replace=False)]
+    dists = neighbors.pair_distances(points)
     dists = dists[dists > 0]
     if dists.size == 0:
         raise ValueError("all pairwise distances are zero; candidate grid undefined")
@@ -256,20 +255,18 @@ def bandwidth_cv_scores(points, values, search: BandwidthSearch) -> tuple[np.nda
         raise ValueError(f"{n} points cannot fill {search.folds} folds")
     levels = (search.tau_grid or default_tau_grid()).levels
     candidates = _resolve_candidates(points, search)
+    kernels = [KernelConfig(float(h)) for h in candidates]
 
     fold_losses = np.empty((candidates.shape[0], search.folds))
     for fi, held_out in enumerate(_cv_folds(n, search.folds, search.seed)):
         mask = np.ones(n, dtype=bool)
         mask[held_out] = False
-        order = np.argsort(values[mask], kind="stable")
-        kept_points = np.asfortranarray(points[mask][order])
-        kept_values = values[mask][order]
+        kept_points, kept_values = _by_value(points[mask], values[mask])
         preds = np.empty((candidates.shape[0], held_out.shape[0], levels.shape[0]))
         for start, dists in neighbors._distance_blocks(points[held_out], kept_points):
-            for ci, h in enumerate(candidates):
-                counts, _, members = neighbors.block_balls(dists, float(h), 1)
-                picks = _left_quantile_picks(counts, members, levels)
-                preds[ci, start : start + counts.shape[0]] = kept_values[picks]
+            rows = slice(start, start + dists.shape[0])
+            for ci, kernel in enumerate(kernels):
+                preds[ci, rows] = _ball_quantiles(dists, kept_values, kernel, levels)
             del dists  # before the next block is built
         observed = values[held_out][:, None]
         for ci, fold_preds in enumerate(preds):

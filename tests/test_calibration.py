@@ -204,7 +204,7 @@ def _projection(kind, d):
 class TestBatchOfOne:
     @pytest.mark.parametrize("projection", [None, "identity", "random_gaussian", "covariate_select"])
     @pytest.mark.parametrize("kind", ["ols", "knn", "external"])
-    def test_single_query_paths_equal_batch_columns(self, kind, projection):
+    def test_single_query_paths_equal_batch_columns(self, tmp_path, kind, projection):
         rng = np.random.default_rng(12)
         n = 120
         feats = rng.normal(size=(n, 4))
@@ -224,19 +224,25 @@ class TestBatchOfOne:
         batch = model.predict_quantile_batch(xs, taus)
         residual = model.residual_quantile_batch(xs, taus)
         tails = model.predict_quantile_batch(xs, [0.05, 0.95])
+        save_model(model, tmp_path / "model.json")
+        # the reloaded model answers every path bit for bit as the original
+        for answering in (model, load_model(tmp_path / "model.json")):
+            assert answering.predict_quantile_batch(xs, taus).tobytes() == batch.tobytes()
+            assert answering.residual_quantile_batch(xs, taus).tobytes() == residual.tobytes()
+            for i, x in enumerate(xs):
+                for j, tau in enumerate(taus):
+                    assert answering.predict_quantile(x, tau) == batch[i, j]
+                    assert answering.residual_quantile(x, tau) == residual[i, j]
+                assert answering.predict_interval(x, 0.1) == tuple(tails[i])
         z = model.transform_features(xs)
         widened = 0
-        for i, x in enumerate(xs):
-            for j, tau in enumerate(taus):
-                assert model.predict_quantile(x, tau) == batch[i, j]
-                assert model.residual_quantile(x, tau) == residual[i, j]
-            assert model.predict_interval(x, 0.1) == tuple(tails[i])
-            dist = np.sqrt(((est.points - z[i]) ** 2).sum(axis=1))
+        for zi in z:
+            dist = np.sqrt(((est.points - zi) ** 2).sum(axis=1))
             inside = dist <= 1.2
             if inside.sum() < 8:
                 inside = dist <= np.partition(dist, 7)[7]
                 widened += 1
-            hood = est.neighborhood(z[i])
+            hood = est.neighborhood(zi)
             assert (np.diff(hood.indices) > 0).all()
             assert hood.indices.tolist() == np.flatnonzero(inside).tolist()
         assert 0 < widened < len(xs)

@@ -128,7 +128,16 @@ def test_distances_equal_numpy_sum_bitwise(monkeypatch, d):
     queries[2] = np.nan
     queries[5, d // 2] = np.inf
     want = np.sqrt(((queries[:, None] - points[None]) ** 2).sum(axis=2))
+    pairs = np.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=2))
     monkeypatch.setattr(neighbors, "_BLOCK_BUDGET", 4 * points.size)
+    pair_blocks = []
+    inner = neighbors._square_sum
+
+    def recorded(queries, cols, lo, hi):
+        if (lo, hi) == (0, d):  # a block, not a recursive half
+            pair_blocks.append(queries.shape[0])
+        return inner(queries, cols, lo, hi)
+
     for stored in (points, np.asfortranarray(points)):
         got = np.full_like(want, -1.0)
         starts = []
@@ -137,6 +146,15 @@ def test_distances_equal_numpy_sum_bitwise(monkeypatch, d):
             starts.append(start)
         assert starts == [0, 4, 8]  # blocks of 4 rows, the last one partial
         assert got.tobytes() == want.tobytes()
+        for m in (1, 2, 23):
+            with monkeypatch.context() as mp:
+                mp.setattr(neighbors, "_square_sum", recorded)
+                got_pairs = neighbors.pair_distances(stored[:m])
+            want_pairs = pairs[:m, :m][np.triu_indices(m, k=1)]
+            assert got_pairs.shape == (m * (m - 1) // 2,)
+            assert got_pairs.tobytes() == want_pairs.tobytes()
+        # m = 23 went in blocks of 4 rows, the last one partial
+        assert pair_blocks[-6:] == [4, 4, 4, 4, 4, 3]
 
 
 def test_stored_points_are_read_without_a_copy(tmp_path, monkeypatch):

@@ -216,6 +216,20 @@ class TestBandwidthSelection:
         cands, _ = bandwidth_cv_scores(pts, rng.normal(size=50), search)
         np.testing.assert_allclose(cands, expect, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 8, 20])
+    def test_repeated_rows_leave_no_spurious_distances(self, d):
+        # duplicate rows are exactly 0 apart and drop out of the grid; a Gram
+        # shortcut (|a|^2 + |b|^2 - 2ab) would turn some of them into ~1e-7
+        rng = np.random.default_rng(d)
+        distinct = rng.normal(size=(300, d))
+        pts = distinct[rng.integers(0, 300, size=1500)]
+        # sqrt(((p[:, None] - p[None]) ** 2).sum(axis=2))[triu_indices(1500, 1)], row by row
+        rows = [np.sqrt(((pts[i + 1 :] - pts[i]) ** 2).sum(axis=1)) for i in range(1500)]
+        brute = np.concatenate(rows)
+        expect = np.unique(np.quantile(brute[brute > 0], quantile._DISTANCE_QUANTILES))
+        got = quantile._resolve_candidates(pts, BandwidthSearch())
+        assert got.tobytes() == expect.tobytes()
+
     def test_lipschitz_hint_appends_rate_candidate(self):
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(30, 2))
