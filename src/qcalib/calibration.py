@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -222,16 +223,43 @@ def _cross_validate(z: np.ndarray, values: np.ndarray, search: BandwidthSearch):
     }
 
 
+def _json_type(value, types, what: str):
+    """``value`` if it is one of ``types``; JSON reads 40.5 as a float and
+    true as a bool, which ``int()`` would pass."""
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise ValueError(f"expected {what}, got {value!r}")
+    return value
+
+
+_string = partial(_json_type, types=str, what="a string")
+_integer = partial(_json_type, types=int, what="an integer")
+_number = partial(_json_type, types=(int, float), what="a number")
+_object = partial(_json_type, types=dict, what="an object")
+_list = partial(_json_type, types=list, what="an array")
+
+
 def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+    # numpy converts the elements; a null among them becomes NaN, which the
+    # part's own finiteness check rejects
+    return np.asarray(_list(value), dtype=float)
 
 
 def _unique_names(value) -> tuple:
     # predict finds columns by name, so a repeated name would read one column twice
-    names = tuple(value)
+    names = tuple(map(_string, _list(value)))
     if len(set(names)) != len(names):
         raise ValueError(f"names must be unique, got {list(names)}")
     return names
+
+
+# a part field's reader, by its declared type (annotations are strings here)
+_READERS = {
+    "str": _string,
+    "int": _integer,
+    "float": lambda value: float(_number(value)),
+    "np.ndarray": _floats,
+    "tuple[int, ...]": lambda value: tuple(map(_integer, _list(value))),
+}
 
 
 def _get(blob: dict, path: str, read=None):
@@ -251,60 +279,38 @@ def _get(blob: dict, path: str, read=None):
         raise DatasetError(f"model field {path}: {exc}") from None
 
 
-# what each regressor kind saves besides kind and input_dim, and how to read it
-_REGRESSOR_FIELDS = {
-    "ols": {"coefficients": _floats},
-    "knn": {"knn_k": int, "train_features": _floats, "train_targets": _floats},
-    "external": {"external_column": None, "external_index": int},
-}
-
-
-def _regressor_to_dict(reg: FittedRegressor) -> dict:
-    out: dict = {"kind": reg.kind, "input_dim": reg.input_dim}
-    for name in _REGRESSOR_FIELDS[reg.kind]:
-        value = getattr(reg, name)
-        out[name] = value.tolist() if isinstance(value, np.ndarray) else value
+def _part_to_dict(part) -> dict:
+    """Every field of a dataclass part that is not None, arrays and tuples as lists."""
+    out = {}
+    for f in fields(part):
+        value = getattr(part, f.name)
+        if isinstance(value, np.ndarray):
+            out[f.name] = value.tolist()
+        elif isinstance(value, tuple):
+            out[f.name] = list(value)
+        elif value is not None:
+            out[f.name] = value
     return out
 
 
-def _regressor_from_dict(blob: dict) -> FittedRegressor:
-    kind = _get(blob, "regressor.kind", str)
-    fields = _REGRESSOR_FIELDS.get(kind, {})
-    return FittedRegressor(
-        kind=kind,
-        input_dim=_get(blob, "regressor.input_dim", int),
-        **{name: _get(blob, f"regressor.{name}", read) for name, read in fields.items()},
-    )
+def _part_from_dict(blob: dict, path: str, cls, **given):
+    """The ``cls`` whose fields sit at ``path``, each read by its declared type.
 
-
-def _projection_to_dict(pmap: ProjectionMap | None) -> dict | None:
-    if pmap is None:
-        return None
-    out: dict = {
-        "kind": pmap.kind,
-        "input_dim": pmap.input_dim,
-        "output_dim": pmap.output_dim,
-    }
-    if pmap.matrix is not None:
-        out["matrix"] = pmap.matrix.tolist()
-    if pmap.selected_indices is not None:
-        out["selected_indices"] = list(pmap.selected_indices)
-    return out
-
-
-def _projection_from_dict(blob: dict) -> ProjectionMap | None:
-    pblob = _get(blob, "projection")
-    if pblob is None:
-        return None
-    return ProjectionMap(
-        kind=_get(blob, "projection.kind"),  # read first: it fails unless pblob is an object
-        input_dim=_get(blob, "projection.input_dim", int),
-        output_dim=_get(blob, "projection.output_dim", int),
-        matrix=_get(blob, "projection.matrix", _floats) if "matrix" in pblob else None,
-        selected_indices=_get(blob, "projection.selected_indices", lambda v: tuple(map(int, v)))
-        if "selected_indices" in pblob
-        else None,
-    )
+    An absent field whose default is None is None, as :func:`_part_to_dict`
+    leaves it out; ``given`` fields are not read. A part its constructor
+    rejects raises :class:`DatasetError` naming all its fields but those.
+    """
+    part = _get(blob, path, _object)
+    read = [f for f in fields(cls) if f.name not in given]
+    for f in read:
+        if f.name in part or f.default is not None:
+            reader = _READERS[f.type.removesuffix(" | None")]
+            given[f.name] = _get(blob, f"{path}.{f.name}", reader)
+    try:
+        return cls(**given)
+    except (TypeError, ValueError) as exc:
+        names = ", ".join(f"{path}.{f.name}" for f in read)
+        raise DatasetError(f"model fields {names}: {exc}") from None
 
 
 def model_to_dict(model: CalibratedModel) -> dict:
@@ -319,15 +325,12 @@ def model_to_dict(model: CalibratedModel) -> dict:
         "version": MODEL_VERSION,
         "feature_names": list(model.feature_names),
         "target_name": model.target_name,
-        "regressor": _regressor_to_dict(model.regressor),
-        "standardizer": {
-            "means": model.standardizer.means.tolist(),
-            "stddevs": model.standardizer.stddevs.tolist(),
-        },
-        "projection": _projection_to_dict(model.projection),
+        "regressor": _part_to_dict(model.regressor),
+        "standardizer": _part_to_dict(model.standardizer),
+        "projection": None if model.projection is None else _part_to_dict(model.projection),
+        # the kernel's fields sit beside the points they weigh
         "quantile_estimator": {
-            "bandwidth": est.kernel.bandwidth,
-            "min_neighbors": est.kernel.min_neighbors,
+            **_part_to_dict(est.kernel),
             "points": est.points.tolist(),
             "values": est.values.tolist(),
         },
@@ -339,39 +342,30 @@ def model_from_dict(blob: dict) -> CalibratedModel:
     """The model a :func:`model_to_dict` document describes.
 
     A missing or malformed field raises :class:`DatasetError` naming its
-    dotted path, and so do parts whose widths disagree (naming both); other
-    fields that do not fit together raise ``ValueError``.
+    dotted path, a part its constructor rejects names every field of that
+    part, and parts whose widths disagree name both.
     """
     if not isinstance(blob, dict):
         raise DatasetError(f"not a {MODEL_FORMAT} document: expected a JSON object")
-    if blob.get("format") != MODEL_FORMAT:
-        raise DatasetError(f"not a {MODEL_FORMAT} document")
-    if blob.get("version") != MODEL_VERSION:
-        raise DatasetError(f"unsupported model version {blob.get('version')!r}")
-    estimator = QuantileEstimator(
-        points=_get(blob, "quantile_estimator.points", _floats),
-        values=_get(blob, "quantile_estimator.values", _floats),
-        kernel=KernelConfig(
-            _get(blob, "quantile_estimator.bandwidth", float),
-            _get(blob, "quantile_estimator.min_neighbors", int),
-        ),
-    )
-    means = _get(blob, "standardizer.means", _floats)
-    stddevs = _get(blob, "standardizer.stddevs", _floats)
-    try:
-        standardizer = Standardizer(means, stddevs)
-    except DatasetError as exc:
-        raise DatasetError(
-            f"model fields standardizer.means and standardizer.stddevs: {exc}"
-        ) from None
+    fmt = blob.get("format")
+    if fmt != MODEL_FORMAT:
+        raise DatasetError(f"not a {MODEL_FORMAT} document: model field format is {fmt!r}")
+    version = _get(blob, "version", _integer)  # true == 1 in Python
+    if version != MODEL_VERSION:
+        raise DatasetError(f"model field version: unsupported model version {version!r}")
+    kernel = _part_from_dict(blob, "quantile_estimator", KernelConfig)
     model = CalibratedModel(
-        regressor=_regressor_from_dict(blob),
-        quantile_estimator=estimator,
-        standardizer=standardizer,
-        projection=_projection_from_dict(blob),
+        regressor=_part_from_dict(blob, "regressor", FittedRegressor),
+        quantile_estimator=_part_from_dict(
+            blob, "quantile_estimator", QuantileEstimator, kernel=kernel
+        ),
+        standardizer=_part_from_dict(blob, "standardizer", Standardizer),
+        projection=None
+        if _get(blob, "projection") is None
+        else _part_from_dict(blob, "projection", ProjectionMap),
         feature_names=_get(blob, "feature_names", _unique_names),
-        target_name=_get(blob, "target_name"),
-        config=_get(blob, "config"),
+        target_name=_get(blob, "target_name", _string),
+        config=_get(blob, "config", _object),
     )
     _check_widths(model)
     return model
@@ -403,10 +397,10 @@ def save_model(model: CalibratedModel, path) -> None:
 
 
 def load_model(path) -> CalibratedModel:
-    """Read a saved model; a malformed document raises DatasetError naming the file."""
-    with open(path, encoding="utf-8") as fh:
-        blob = json.load(fh)
+    """Read a saved model; a file that is not JSON, or not a model document,
+    raises DatasetError naming the file."""
     try:
-        return model_from_dict(blob)
+        with open(path, encoding="utf-8") as fh:
+            return model_from_dict(json.load(fh))
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(f"{path}: {exc}") from exc

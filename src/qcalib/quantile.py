@@ -104,8 +104,8 @@ class QuantileEstimator:
     """Stored calibration sample plus its kernel; see the module docstring.
 
     ``points`` and ``values`` stay verbatim; a private copy of both in stable
-    value order (the points column-major), never serialized, is what the
-    kernel scans.
+    value order, never serialized, is what the kernel scans for quantiles.
+    Both keep their points column-major.
     """
 
     points: np.ndarray  # (n, d)
@@ -114,7 +114,7 @@ class QuantileEstimator:
 
     def __post_init__(self) -> None:
         points, values = _sample(
-            np.array(self.points, dtype=float), np.array(self.values, dtype=float)
+            np.array(self.points, dtype=float, order="F"), np.array(self.values, dtype=float)
         )
         points.setflags(write=False)
         values.setflags(write=False)

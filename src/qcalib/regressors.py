@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, DatasetError, _query_rows
+from .data import Dataset, DatasetError, _all_finite, _query_rows
 from .neighbors import k_nearest
 
 __all__ = [
@@ -74,23 +74,27 @@ class FittedRegressor:
                 raise DatasetError(
                     f"coefficients have shape {shape}, expected ({d + 1},) for input_dim {d}"
                 )
+            if not _all_finite(np.asarray(self.coefficients, dtype=float)):
+                raise DatasetError("coefficients must be finite")
         elif self.kind == "knn":
-            shape, n_targets = np.shape(self.train_features), np.shape(self.train_targets)
-            if len(shape) != 2 or shape[1] != d or n_targets != shape[:1]:
-                raise DatasetError(
-                    f"train_features and train_targets have shapes {shape} and {n_targets}, "
-                    f"expected (n, {d}) and (n,)"
-                )
-            if not 1 <= self.knn_k <= shape[0]:
-                raise DatasetError(
-                    f"knn_k={self.knn_k} is below 1 or exceeds the {shape[0]} training rows"
-                )
             # column-major, so the distance kernel reads each coordinate without a copy
-            object.__setattr__(
-                self, "train_features", np.array(self.train_features, dtype=float, order="F")
-            )
+            features = np.array(self.train_features, dtype=float, order="F")
+            targets = np.asarray(self.train_targets, dtype=float)
+            if features.ndim != 2 or features.shape[1] != d or targets.shape != features.shape[:1]:
+                raise DatasetError(
+                    f"train_features and train_targets have shapes {features.shape} and "
+                    f"{targets.shape}, expected (n, {d}) and (n,)"
+                )
+            n = features.shape[0]
+            if self.knn_k is None or not 1 <= self.knn_k <= n:
+                raise DatasetError(
+                    f"knn_k={self.knn_k} is unset, below 1 or exceeds the {n} training rows"
+                )
+            if not (_all_finite(features) and _all_finite(targets)):
+                raise DatasetError("train_features and train_targets must be finite")
+            object.__setattr__(self, "train_features", features)
         elif self.kind == "external":
-            if not 0 <= self.external_index < d:
+            if self.external_index is None or not 0 <= self.external_index < d:
                 raise DatasetError(f"external_index {self.external_index} is outside input_dim {d}")
         else:
             raise DatasetError(f"unknown regressor kind {self.kind!r}, expected one of {_KINDS}")
@@ -125,8 +129,6 @@ def fit_regressor(spec: RegressorSpec, train: Dataset) -> FittedRegressor:
         if svals[0] <= 0 or svals[-1] <= svals[0] * 1e-12:
             gram = gram + 1e-8 * np.eye(gram.shape[0])
         beta = np.linalg.solve(gram, rhs)
-        if not np.isfinite(beta).all():
-            raise ValueError("least squares produced non-finite coefficients")
         return FittedRegressor(kind="ols", input_dim=train.d, coefficients=beta)
     if spec.kind == "knn":
         return FittedRegressor(

@@ -1,10 +1,16 @@
 import argparse
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcalib.cli import _build_parser, _merge_config, main
 from qcalib.data import Dataset, load_csv, save_csv
@@ -385,22 +391,26 @@ def _widen_estimator_points(blob):
 @pytest.mark.parametrize(
     "regressor, corrupt, field",
     [
-        ("ols", lambda b: b["quantile_estimator"].update(min_neighbors=None), "min_neighbors"),
+        (
+            "ols",
+            lambda b: b["quantile_estimator"].update(min_neighbors=None),
+            "quantile_estimator.min_neighbors",
+        ),
         ("ols", lambda b: b.update(feature_names=5), "feature_names"),
         ("ols", lambda b: b.update(feature_names=["x", "x"]), "feature_names"),
         ("ols", lambda b: b.update(projection=3), "projection"),
         ("ols", lambda b: b.pop("config"), "config"),
-        ("ols", _drop_coefficient, "coefficients"),
-        ("ols", lambda b: b["regressor"].update(kind="forest"), "kind"),
-        ("knn", _widen_train_features, "train_features"),
-        ("knn", lambda b: b["regressor"]["train_targets"].pop(), "train_targets"),
-        ("knn", lambda b: b["regressor"].update(knn_k=0), "knn_k"),
-        ("knn", lambda b: b["regressor"].update(knn_k=10**6), "knn_k"),
-        ("external", lambda b: b["regressor"].update(external_index=2), "external_index"),
+        ("ols", _drop_coefficient, "regressor.coefficients"),
+        ("ols", lambda b: b["regressor"].update(kind="forest"), "regressor.kind"),
+        ("knn", _widen_train_features, "regressor.train_features"),
+        ("knn", lambda b: b["regressor"]["train_targets"].pop(), "regressor.train_targets"),
+        ("knn", lambda b: b["regressor"].update(knn_k=0), "regressor.knn_k"),
+        ("knn", lambda b: b["regressor"].update(knn_k=10**6), "regressor.knn_k"),
+        ("external", lambda b: b["regressor"].update(external_index=2), "regressor.external_index"),
         (
             "ols --projection correlation --projection-dim 1",
             lambda b: b["projection"].update(selected_indices=[None]),
-            "selected_indices",
+            "projection.selected_indices",
         ),
         ("ols", _widen_standardizer, "standardizer.means"),
         (
@@ -422,6 +432,36 @@ def _widen_estimator_points(blob):
             lambda b: b["standardizer"]["stddevs"].__setitem__(0, float("inf")),
             "standardizer.stddevs",
         ),
+        (
+            "ols --min-neighbors 40",
+            lambda b: b["quantile_estimator"].update(min_neighbors=40.5),
+            "quantile_estimator.min_neighbors",
+        ),
+        ("ols", lambda b: b["regressor"].update(input_dim=3.7), "regressor.input_dim"),
+        ("knn", lambda b: b["regressor"].update(knn_k=True), "regressor.knn_k"),
+        ("knn", lambda b: b["regressor"].pop("knn_k"), "regressor.knn_k"),
+        (
+            "ols --projection correlation --projection-dim 1",
+            lambda b: b["projection"].update(kind=5),
+            "projection.kind",
+        ),
+        (
+            "ols --projection correlation --projection-dim 1",
+            lambda b: b["projection"].update(selected_indices=[5]),
+            "projection.selected_indices",
+        ),
+        (
+            "ols",
+            lambda b: b["quantile_estimator"].update(bandwidth=-1),
+            "quantile_estimator.bandwidth",
+        ),
+        (
+            "ols",
+            lambda b: b["regressor"]["coefficients"].__setitem__(1, float("nan")),
+            "regressor.coefficients",
+        ),
+        ("ols", lambda b: b.update(target_name=5), "target_name"),
+        ("ols", lambda b: b.update(config=5), "config"),
     ],
     ids=[
         "null_min_neighbors",
@@ -445,6 +485,16 @@ def _widen_estimator_points(blob):
         "short_stddevs",
         "negative_stddev",
         "infinite_stddev",
+        "fractional_min_neighbors",
+        "fractional_input_dim",
+        "boolean_knn_k",
+        "missing_knn_k",
+        "numeric_projection_kind",
+        "selected_index_out_of_range",
+        "negative_bandwidth",
+        "nan_coefficient",
+        "numeric_target_name",
+        "scalar_config",
     ],
 )
 def test_malformed_model_document_exits_2_naming_the_field(
@@ -470,6 +520,131 @@ def test_malformed_model_document_exits_2_naming_the_field(
     assert str(model_path) in err and field in err, err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, output_flag", [("predict", "--output"), ("evaluate", "--output-json")]
+)
+def test_model_file_that_is_not_json_exits_2_naming_it(
+    tmp_path, train_csv, capsys, command, output_flag
+):
+    model_path = run_calibrate(tmp_path, train_csv)
+    model_path.write_text(model_path.read_text()[:27])  # cut inside the first object
+    capsys.readouterr()
+    out = tmp_path / "out"
+    rc = main(
+        [command, "--model", str(model_path), "--input", str(train_csv), output_flag, str(out)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model_path}: "), err
+    assert not out.exists()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _fields(blob: dict) -> dict:
+    """{dotted path: (holding object, key)} of every top-level field and of
+    every field of each part; ``config`` echoes the settings and holds no part."""
+    out = {key: (blob, key) for key in blob}
+    for name, part in blob.items():
+        if isinstance(part, dict) and name != "config":
+            out.update({f"{name}.{key}": (part, key) for key in part})
+    return out
+
+
+def _json_kind(value):
+    # int and float are one JSON type, except that an integer field rejects 2.5
+    return "number" if type(value) in (int, float) else type(value)
+
+
+@pytest.fixture(scope="module")
+def golden_predictions(tmp_path_factory):
+    """The golden models' queries as a CSV, and each model's predict output."""
+    root = tmp_path_factory.mktemp("golden")
+    queries = root / "queries.csv"
+    rows = json.loads((GOLDEN / "predictions.json").read_text())["queries"]
+    queries.write_text("x1,x2,pred\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
+    expected = {}
+    for kind in ("ols", "knn", "external"):
+        out = root / f"{kind}.csv"
+        argv = ["--model", str(GOLDEN / f"{kind}.json"), "--input", str(queries)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["predict", *argv, "--output", str(out), "--taus", "0.1,0.5,0.9"]) == 0
+        expected[kind] = out.read_bytes()
+    return root, queries, expected
+
+
+def _mutations(path: str, value) -> list[str]:
+    out = ["drop", "retype"]
+    if isinstance(value, list) and value:
+        out.append("truncate")
+        matrix = isinstance(value[0], list)
+        if matrix:
+            out.append("transpose")
+        if all(type(v) in (int, float) for row in (value if matrix else [value]) for v in row):
+            out.append("non-finite")
+    if path == "quantile_estimator.bandwidth":
+        out.append("negative")
+    if path == "quantile_estimator.min_neighbors":
+        out.append("zero")
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_model_exits_2_naming_its_field_or_predicts_the_same(golden_predictions, data):
+    """One field of a golden model dropped, retyped, truncated, transposed,
+    made non-finite, or set out of range: predict either exits 2 naming the
+    file and the field, or writes the golden model's predictions unchanged."""
+    root, queries, expected = golden_predictions
+    kind = data.draw(st.sampled_from(sorted(expected)))
+    blob = json.loads((GOLDEN / f"{kind}.json").read_text())
+    fields = _fields(blob)
+    choices = [(m, p) for p, (holder, key) in fields.items() for m in _mutations(p, holder[key])]
+    mutation = data.draw(st.sampled_from(sorted({m for m, _ in choices})))
+    path = data.draw(st.sampled_from([p for m, p in choices if m == mutation]))
+    holder, key = fields[path]
+    value = holder[key]
+    if mutation == "drop":
+        del holder[key]
+    elif mutation == "retype":
+        others = (None, True, 2.5, 7, "s", [], {})
+        holder[key] = data.draw(
+            st.sampled_from([v for v in others if _json_kind(v) != _json_kind(value)])
+        )
+    elif mutation == "truncate":
+        holder[key] = value[:-1]
+    elif mutation == "transpose":
+        holder[key] = [list(column) for column in zip(*value)]
+    elif mutation == "non-finite":
+        row = data.draw(st.sampled_from(value if isinstance(value[0], list) else [value]))
+        row[data.draw(st.integers(0, len(row) - 1))] = data.draw(
+            st.sampled_from([math.nan, math.inf, -math.inf])
+        )
+    elif mutation == "negative":
+        holder[key] = -data.draw(st.sampled_from([1e-9, 0.5, 7]))
+    else:
+        holder[key] = 0
+    model_path = root / "mutated.json"
+    model_path.write_text(json.dumps(blob))
+    out = root / "mutated.csv"
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        argv = ["--model", str(model_path), "--input", str(queries), "--output", str(out)]
+        rc = main(["predict", *argv, "--taus", "0.1,0.5,0.9"])
+    err = err.getvalue()
+    if rc == 0:
+        assert out.read_bytes() == expected[kind], (path, mutation)
+    else:
+        assert rc == 2, err
+        # a part that still reads but no longer fits the next one (projection
+        # null before 1-wide points) is named by the width check, on both sides
+        assert str(model_path) in err, err
+        assert path in err or " has width " in err, (path, mutation, err)
+        assert "Traceback" not in err and not out.exists()
 
 
 class TestEvaluate:

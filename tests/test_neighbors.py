@@ -159,7 +159,8 @@ def test_distances_equal_numpy_sum_bitwise(monkeypatch, d):
 
 def test_stored_points_are_read_without_a_copy(tmp_path, monkeypatch):
     # the kernel reads coordinate rows of the points' transpose; every caller
-    # that keeps points stores them column-major so that is a view
+    # that keeps points stores them column-major so that is a view, the
+    # estimator's verbatim points that neighborhood scans included
     seen = []
     inner = neighbors._distance_blocks
 
@@ -176,9 +177,12 @@ def test_stored_points_are_read_without_a_copy(tmp_path, monkeypatch):
     model = load_model(tmp_path / "model.json")
     seen.clear()
     model.predict_quantile_batch(features[:5], [0.5])
+    model.quantile_estimator.neighborhood(np.zeros(3))
     bandwidth_cv_scores(features, data.target, BandwidthSearch(folds=3))
-    assert len(seen) == 2 + 3  # kNN, the estimator, one pass per CV fold
+    assert len(seen) == 3 + 3  # kNN, the estimator twice, one pass per CV fold
     assert seen[0] is model.regressor.train_features
     assert seen[1] is model.quantile_estimator._points_by_value
+    assert seen[2] is model.quantile_estimator.points
     for points in seen:
+        assert points.flags.f_contiguous
         assert np.shares_memory(np.ascontiguousarray(points.T), points)
