@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -54,10 +55,11 @@ class CalibrationConfig:
     ``kernel`` is either a fixed :class:`KernelConfig` or the string
     ``"auto"``, in which case the bandwidth is cross-validated on the
     calibration split (``bandwidth_search`` overrides the default plan,
-    ``min_neighbors`` feeds the resulting kernel). ``"auto"`` does not fail
-    on degenerate calibration splits: identical feature rows take the
-    marginal bandwidth ``math.inf`` (every ball holds every point anyway),
-    and fewer rows than folds use one fold per row.
+    ``min_neighbors`` feeds the resulting kernel; beside a fixed kernel it
+    must be 1 or the kernel's own). ``"auto"`` does not fail on degenerate
+    calibration splits: identical feature rows take the marginal bandwidth
+    ``math.inf`` (every ball holds every point anyway), and fewer rows than
+    folds use one fold per row.
     """
 
     regressor: RegressorSpec
@@ -73,6 +75,10 @@ class CalibrationConfig:
             raise ValueError(f'kernel must be a KernelConfig or "auto", got {self.kernel!r}')
         if self.min_neighbors < 1:
             raise ValueError("min_neighbors must be at least 1")
+        # a fixed kernel carries its own min_neighbors, so any other would be dropped
+        kernel = self.kernel
+        if isinstance(kernel, KernelConfig) and self.min_neighbors not in (1, kernel.min_neighbors):
+            raise ValueError(f"min_neighbors={self.min_neighbors} disagrees with {kernel}")
 
 
 @dataclass(frozen=True)
@@ -238,10 +244,16 @@ _object = partial(_json_type, types=dict, what="an object")
 _list = partial(_json_type, types=list, what="an array")
 
 
-def _floats(value) -> np.ndarray:
-    # numpy converts the elements; a null among them becomes NaN, which the
-    # part's own finiteness check rejects
-    return np.asarray(_list(value), dtype=float)
+def _floats(value) -> list:
+    # a list of numbers or of lists of numbers, which the part's constructor
+    # converts; numpy alone would read true as 1.0 and "0.5" as 0.5
+    items = _list(value)
+    kinds = set(map(type, items))
+    if kinds == {list}:  # a matrix
+        kinds = set(map(type, chain.from_iterable(items)))
+    if not kinds <= {int, float}:
+        raise ValueError(f"expected numbers, found {sorted(k.__name__ for k in kinds)}")
+    return items
 
 
 def _unique_names(value) -> tuple:

@@ -263,13 +263,13 @@ def _demo_model(args, family: str, regressor: RegressorSpec):
 
 
 def _demo_example1(args, outputs: _OutputSet, outdir: Path) -> None:
-    tau = 0.9
+    tau = args.tau
     model = _demo_model(args, "uniform_triangle", RegressorSpec("ols"))
     test = generate(GeneratorSpec("uniform_triangle", args.n, seed=args.seed + 1))
     foil = sharpness_counterexample_predictor(test.features[:, 0], tau)
     calibrated = model.predict_quantile_batch(test.features, np.array([tau]))[:, 0]
 
-    labels = np.where(test.features[:, 0] <= 0.9, "x<=0.9", "x>0.9")
+    labels = np.where(test.features[:, 0] <= tau, f"x<={tau}", f"x>{tau}")
     grid = TauGrid(np.array([tau]))
     tables = {
         "counterexample": group_coverage(foil[:, None], test.target, labels, grid),
@@ -357,17 +357,20 @@ def _demo_scaled_uniform(args, outputs: _OutputSet, outdir: Path) -> None:
     print(f"curve: {outdir / 'scaled_uniform_curve.csv'}")
 
 
-# each demo with its default row count and bandwidth
+# each demo with its default row count, bandwidth and level (None: takes no --tau)
 _DEMOS = {
-    "example1": (_demo_example1, 20000, "0.1"),
-    "sine": (_demo_sine, 5000, "auto"),
-    "scaled_uniform": (_demo_scaled_uniform, 5000, "auto"),
+    "example1": (_demo_example1, 20000, "0.1", 0.9),
+    "sine": (_demo_sine, 5000, "auto", None),
+    "scaled_uniform": (_demo_scaled_uniform, 5000, "auto", 0.9),
 }
 
 
 def _cmd_demo(args, outputs: _OutputSet) -> None:
-    run, n, bandwidth = _DEMOS[args.name]
+    run, n, bandwidth, tau = _DEMOS[args.name]
+    if tau is None and args.tau is not None:
+        raise ValueError(f"--tau does not apply to demo {args.name}")
     args.n, args.bandwidth = args.n or n, args.bandwidth or bandwidth
+    args.tau = tau if args.tau is None else args.tau
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     run(args, outputs, outdir)
@@ -477,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--outdir", default="demo_out")
     p.add_argument("--bandwidth", default=None)
-    p.add_argument("--tau", type=float, default=0.9)
+    p.add_argument("--tau", type=float, default=None)
     p.set_defaults(handler=_cmd_demo)
 
     p = sub.add_parser("covshift", parents=[common], allow_abbrev=False, help="compare models on a covariate-shifted test set")

@@ -3,12 +3,17 @@
 A dataset is a finite feature matrix plus a target vector. CSV files carry
 one header row; every column is numeric, one of them is the target, and all
 remaining columns are features in file order.
+
+Every stored array, here and in the other parts of a model, is a read-only,
+finite float copy made by :func:`_frozen`, so a caller who later changes the
+array it passed in changes nothing stored.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,28 +57,50 @@ def _query_rows(xs, width: int, finite: bool = True) -> np.ndarray:
     return xs
 
 
+def _frozen(value, what: str, shape: tuple, order: str = "C") -> np.ndarray:
+    """A read-only, finite float copy of ``value`` of the given shape, or
+    :class:`DatasetError` naming ``what`` and both shapes.
+
+    A None in ``shape`` matches any length of at least 1. A vector and a
+    one-column matrix stand for each other.
+    """
+    a = np.array(value, dtype=float, order=order)
+    if a.ndim == 1 and len(shape) == 2:
+        a = a.reshape(-1, 1)
+    elif a.ndim == 2 and a.shape[1] == 1 and len(shape) == 1:
+        a = a.reshape(-1)
+    if a.ndim != len(shape) or any(
+        n < 1 if want is None else n != want for n, want in zip(a.shape, shape)
+    ):
+        dims = ", ".join("nd"[i] if want is None else str(want) for i, want in enumerate(shape))
+        dims += "," if len(shape) == 1 else ""
+        raise DatasetError(f"{what} has shape {a.shape}, expected ({dims})")
+    if not _all_finite(a):
+        raise DatasetError(f"{what} has a non-finite entry")
+    a.setflags(write=False)
+    return a
+
+
 def _sample(points, values) -> tuple[np.ndarray, np.ndarray]:
-    """n >= 1 finite points as an (n, d) float matrix (a 1-d input is n
-    points of one coordinate) and their n finite values, or DatasetError."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points.reshape(-1, 1)
-    values = np.asarray(values, dtype=float).ravel()
-    if points.ndim != 2 or points.shape[0] < 1:
-        raise DatasetError("points must form a non-empty 2-d matrix")
-    if values.shape[0] != points.shape[0]:
-        raise DatasetError(f"{values.shape[0]} values for {points.shape[0]} points")
-    if not (_all_finite(points) and _all_finite(values)):
-        raise DatasetError("points and values must be finite")
-    return points, values
+    """n >= 1 points as a column-major (n, d) matrix (a 1-d input is n points
+    of one coordinate) and their n values, each :func:`_frozen`."""
+    points = _frozen(points, "points", (None, None), order="F")
+    return points, _frozen(values, "values", points.shape[:1])
+
+
+def _index(value, what: str) -> int:
+    """``value`` as an int if it is an integer, numpy's included, else ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
 class Dataset:
     """Immutable (n, d) float feature matrix with an aligned target vector.
 
-    All values must be finite and feature names unique. Arrays are copied on
-    construction and marked read-only.
+    Feature names must be unique.
     """
 
     features: np.ndarray
@@ -82,32 +109,15 @@ class Dataset:
     target_name: str = "y"
 
     def __post_init__(self) -> None:
-        features = np.array(self.features, dtype=float, copy=True)
-        if features.ndim == 1:
-            features = features.reshape(-1, 1)
-        if features.ndim != 2:
-            raise DatasetError("features must be a 2-d matrix")
-        target = np.array(self.target, dtype=float, copy=True).ravel()
+        features = _frozen(self.features, "features", (None, None))
         n, d = features.shape
-        if n < 1 or d < 1:
-            raise DatasetError("empty dataset")
-        if target.shape[0] != n:
-            raise DatasetError(
-                f"target has {target.shape[0]} rows, features have {n}"
-            )
-        if not np.isfinite(features).all():
-            raise DatasetError("features contain non-finite values")
-        if not np.isfinite(target).all():
-            raise DatasetError("target contains non-finite values")
         names = tuple(str(c) for c in self.feature_names)
         if len(names) != d:
             raise DatasetError(f"{len(names)} feature names for {d} columns")
         if len(set(names)) != d:
             raise DatasetError("feature names must be unique")
-        features.setflags(write=False)
-        target.setflags(write=False)
         object.__setattr__(self, "features", features)
-        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "target", _frozen(self.target, "target", (n,)))
         object.__setattr__(self, "feature_names", names)
 
     @property
@@ -259,24 +269,16 @@ class Standardizer:
     stddevs: np.ndarray
 
     def __post_init__(self) -> None:
-        means = np.array(self.means, dtype=float, copy=True).ravel()
-        stds = np.array(self.stddevs, dtype=float, copy=True).ravel()
-        if means.shape != stds.shape or means.size == 0:
-            raise DatasetError("means and stddevs must be equal-length non-empty vectors")
-        if not (np.isfinite(means).all() and np.isfinite(stds).all()):
-            raise DatasetError("standardizer parameters must be finite")
+        means = _frozen(self.means, "means", (None,))
+        stds = _frozen(self.stddevs, "stddevs", means.shape)
         if (stds < 0).any():
             raise DatasetError("stddevs must be nonnegative")
-        means.setflags(write=False)
-        stds.setflags(write=False)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "stddevs", stds)
 
     @classmethod
     def from_features(cls, xs: np.ndarray) -> "Standardizer":
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2 or xs.shape[0] < 1:
-            raise DatasetError("expected a non-empty 2-d feature matrix")
+        xs = _frozen(xs, "features", (None, None))
         return cls(xs.mean(axis=0), xs.std(axis=0))
 
     @property

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _query_rows
+from .data import Dataset, _frozen, _index, _query_rows
 
 __all__ = [
     "ProjectionMap",
@@ -44,17 +44,10 @@ class ProjectionMap:
             if self.output_dim != self.input_dim:
                 raise ValueError("identity projection cannot change dimension")
         elif self.kind == "random_gaussian":
-            m = np.array(self.matrix, dtype=float, copy=True)
-            if m.shape != (self.output_dim, self.input_dim):
-                raise ValueError(
-                    f"matrix shape {m.shape} != ({self.output_dim}, {self.input_dim})"
-                )
-            if not np.isfinite(m).all():
-                raise ValueError("projection matrix must be finite")
-            m.setflags(write=False)
-            object.__setattr__(self, "matrix", m)
+            matrix = _frozen(self.matrix, "matrix", (self.output_dim, self.input_dim))
+            object.__setattr__(self, "matrix", matrix)
         else:
-            idx = tuple(int(i) for i in self.selected_indices)
+            idx = tuple(_index(i, "a selected column") for i in self.selected_indices)
             if len(idx) != self.output_dim:
                 raise ValueError(f"{len(idx)} selected columns for output_dim {self.output_dim}")
             if len(set(idx)) != len(idx):

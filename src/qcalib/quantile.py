@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neighbors
-from .data import _query_rows, _sample
+from .data import _index, _query_rows, _sample
 from .metrics import TauGrid, default_tau_grid, pinball_loss
 
 __all__ = [
@@ -87,6 +87,7 @@ class KernelConfig:
     def __post_init__(self) -> None:
         if math.isnan(self.bandwidth) or self.bandwidth < 0:
             raise ValueError(f"bandwidth must be nonnegative, got {self.bandwidth}")
+        object.__setattr__(self, "min_neighbors", _index(self.min_neighbors, "min_neighbors"))
         if self.min_neighbors < 1:
             raise ValueError(f"min_neighbors must be at least 1, got {self.min_neighbors}")
 
@@ -113,11 +114,7 @@ class QuantileEstimator:
     kernel: KernelConfig
 
     def __post_init__(self) -> None:
-        points, values = _sample(
-            np.array(self.points, dtype=float, order="F"), np.array(self.values, dtype=float)
-        )
-        points.setflags(write=False)
-        values.setflags(write=False)
+        points, values = _sample(self.points, self.values)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "values", values)
         points_by_value, values_by_value = _by_value(points, values)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, DatasetError, _all_finite, _query_rows
+from .data import Dataset, DatasetError, _frozen, _query_rows
 from .neighbors import k_nearest
 
 __all__ = [
@@ -69,30 +69,19 @@ class FittedRegressor:
         # fields that do not fit input_dim would broadcast to wrong answers
         d = self.input_dim
         if self.kind == "ols":
-            shape = np.shape(self.coefficients)
-            if shape != (d + 1,):
-                raise DatasetError(
-                    f"coefficients have shape {shape}, expected ({d + 1},) for input_dim {d}"
-                )
-            if not _all_finite(np.asarray(self.coefficients, dtype=float)):
-                raise DatasetError("coefficients must be finite")
+            coefficients = _frozen(self.coefficients, "coefficients", (d + 1,))
+            object.__setattr__(self, "coefficients", coefficients)
         elif self.kind == "knn":
             # column-major, so the distance kernel reads each coordinate without a copy
-            features = np.array(self.train_features, dtype=float, order="F")
-            targets = np.asarray(self.train_targets, dtype=float)
-            if features.ndim != 2 or features.shape[1] != d or targets.shape != features.shape[:1]:
-                raise DatasetError(
-                    f"train_features and train_targets have shapes {features.shape} and "
-                    f"{targets.shape}, expected (n, {d}) and (n,)"
-                )
+            features = _frozen(self.train_features, "train_features", (None, d), order="F")
             n = features.shape[0]
             if self.knn_k is None or not 1 <= self.knn_k <= n:
                 raise DatasetError(
                     f"knn_k={self.knn_k} is unset, below 1 or exceeds the {n} training rows"
                 )
-            if not (_all_finite(features) and _all_finite(targets)):
-                raise DatasetError("train_features and train_targets must be finite")
+            targets = _frozen(self.train_targets, "train_targets", (n,))
             object.__setattr__(self, "train_features", features)
+            object.__setattr__(self, "train_targets", targets)
         elif self.kind == "external":
             if self.external_index is None or not 0 <= self.external_index < d:
                 raise DatasetError(f"external_index {self.external_index} is outside input_dim {d}")
@@ -135,7 +124,7 @@ def fit_regressor(spec: RegressorSpec, train: Dataset) -> FittedRegressor:
             kind="knn",
             input_dim=train.d,
             train_features=train.features,
-            train_targets=train.target.copy(),
+            train_targets=train.target,
             knn_k=spec.knn_k,
         )
     try:

@@ -133,6 +133,15 @@ class TestPipelineMechanics:
         assert echo["seed"] == 6
         assert echo["split"]["shuffle"] is False
 
+    def test_min_neighbors_beside_a_fixed_kernel_must_agree(self):
+        # the fixed kernel's own min_neighbors is what calibrate uses
+        ols = RegressorSpec("ols")
+        with pytest.raises(ValueError, match=r"min_neighbors=50 disagrees with KernelConfig\("):
+            CalibrationConfig(ols, kernel=KernelConfig(0.01), min_neighbors=50)
+        for given in (1, 5):
+            CalibrationConfig(ols, kernel=KernelConfig(0.01, 5), min_neighbors=given)
+        CalibrationConfig(ols, kernel="auto", min_neighbors=50)
+
     def test_auto_bandwidth_comes_from_cv(self):
         from qcalib.quantile import select_bandwidth
 

@@ -584,7 +584,7 @@ def _mutations(path: str, value) -> list[str]:
         if matrix:
             out.append("transpose")
         if all(type(v) in (int, float) for row in (value if matrix else [value]) for v in row):
-            out.append("non-finite")
+            out += ["non-finite", "non-number"]
     if path == "quantile_estimator.bandwidth":
         out.append("negative")
     if path == "quantile_estimator.min_neighbors":
@@ -597,7 +597,8 @@ def _mutations(path: str, value) -> list[str]:
 def test_mutated_model_exits_2_naming_its_field_or_predicts_the_same(golden_predictions, data):
     """One field of a golden model dropped, retyped, truncated, transposed,
     made non-finite, or set out of range: predict either exits 2 naming the
-    file and the field, or writes the golden model's predictions unchanged."""
+    file and the field, or writes the golden model's predictions unchanged.
+    An array element that is not a number always exits 2: true is not 1.0."""
     root, queries, expected = golden_predictions
     kind = data.draw(st.sampled_from(sorted(expected)))
     blob = json.loads((GOLDEN / f"{kind}.json").read_text())
@@ -618,11 +619,10 @@ def test_mutated_model_exits_2_naming_its_field_or_predicts_the_same(golden_pred
         holder[key] = value[:-1]
     elif mutation == "transpose":
         holder[key] = [list(column) for column in zip(*value)]
-    elif mutation == "non-finite":
+    elif mutation in ("non-finite", "non-number"):
         row = data.draw(st.sampled_from(value if isinstance(value[0], list) else [value]))
-        row[data.draw(st.integers(0, len(row) - 1))] = data.draw(
-            st.sampled_from([math.nan, math.inf, -math.inf])
-        )
+        bad = [math.nan, math.inf, -math.inf] if mutation == "non-finite" else [True, "0.5", None]
+        row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.sampled_from(bad))
     elif mutation == "negative":
         holder[key] = -data.draw(st.sampled_from([1e-9, 0.5, 7]))
     else:
@@ -637,6 +637,7 @@ def test_mutated_model_exits_2_naming_its_field_or_predicts_the_same(golden_pred
         rc = main(["predict", *argv, "--taus", "0.1,0.5,0.9"])
     err = err.getvalue()
     if rc == 0:
+        assert mutation != "non-number", (path, err)
         assert out.read_bytes() == expected[kind], (path, mutation)
     else:
         assert rc == 2, err
@@ -781,6 +782,23 @@ class TestDemo:
         # oracle column follows (2 tau - 1) x at the default tau = 0.9
         x, _, oracle = (float(v) for v in lines[-1].split(","))
         assert oracle == pytest.approx(0.8 * x)
+
+    def test_tau_where_it_applies(self, tmp_path, capsys):
+        argv = ["demo", "example1", "--n", "800", "--seed", "0", "--outdir"]
+        assert main([*argv, str(tmp_path / "a"), "--tau", "0.7"]) == 0
+        assert main([*argv, str(tmp_path / "b")]) == 0
+        assert main([*argv, str(tmp_path / "c"), "--tau", "0.9"]) == 0
+        report = "example1_report.json"
+        blob = json.loads((tmp_path / "a" / report).read_text())
+        assert blob["tau"] == 0.7
+        # the foil's threshold moves with tau: all below it covered, none above
+        assert blob["models"]["counterexample"]["bins"] == ["x<=0.7", "x>0.7"]
+        assert blob["models"]["counterexample"]["coverage"] == [1.0, 0.0]
+        assert (tmp_path / "b" / report).read_bytes() == (tmp_path / "c" / report).read_bytes()
+        capsys.readouterr()
+        argv = ["demo", "sine", "--n", "400", "--outdir", str(tmp_path / "s"), "--tau", "0.5"]
+        assert main(argv) == 2
+        assert "--tau does not apply to demo sine" in capsys.readouterr().err
 
     def test_demo_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

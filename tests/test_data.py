@@ -17,6 +17,9 @@ from qcalib.data import (
     save_csv,
     split,
 )
+from qcalib.projection import ProjectionMap, apply_projection
+from qcalib.quantile import KernelConfig, QuantileEstimator
+from qcalib.regressors import FittedRegressor
 
 
 def small_dataset(n=6, d=2, seed=0):
@@ -220,6 +223,66 @@ class TestStandardizer:
         with pytest.raises(DatasetError):
             Standardizer(means=[0.0], stddevs=[-1.0])
 
+    def test_from_features_rejects_empty_before_the_mean(self):
+        # the mean of no rows would warn "Mean of empty slice" and return NaN
+        with pytest.raises(DatasetError, match=r"features has shape \(0, 1\)"):
+            Standardizer.from_features([])
+
+
+X = [[0.0, 1.0], [1.0, 3.0], [2.0, 2.0], [3.0, 5.0]]
+Y = [1.0, 2.0, 4.0, 3.0]
+QUERIES = np.array([[0.5, 1.5], [2.5, 4.0]])
+
+# each part: its stored arrays as the caller passes them, how it is built from
+# them, and an answer that depends on them
+STORED_ARRAYS = {
+    "dataset": (
+        {"features": X, "target": Y},
+        lambda a: Dataset(**a, feature_names=("a", "b")),
+        lambda part: part.select([2, 0]).target,
+    ),
+    "quantile_estimator": (
+        {"points": X, "values": Y},
+        lambda a: QuantileEstimator(**a, kernel=KernelConfig(1.5)),
+        lambda part: part.predict_quantile_batch(QUERIES, [0.3, 0.7]),
+    ),
+    "standardizer": (
+        {"means": [1.0, 2.0], "stddevs": [2.0, 0.5]},
+        lambda a: Standardizer(**a),
+        lambda part: part.transform(QUERIES),
+    ),
+    "ols": (
+        {"coefficients": [3.0, 2.0, -1.0]},
+        lambda a: FittedRegressor(kind="ols", input_dim=2, **a),
+        lambda part: part.predict(QUERIES),
+    ),
+    "knn": (
+        {"train_features": X, "train_targets": Y},
+        lambda a: FittedRegressor(kind="knn", input_dim=2, knn_k=2, **a),
+        lambda part: part.predict(QUERIES),
+    ),
+    "projection": (
+        {"matrix": [[0.5, -1.0]]},
+        lambda a: ProjectionMap("random_gaussian", 2, 1, **a),
+        lambda part: apply_projection(part, QUERIES),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STORED_ARRAYS))
+def test_stored_arrays_are_read_only_copies(name):
+    given, build, answer = STORED_ARRAYS[name]
+    arrays = {key: np.array(value) for key, value in given.items()}
+    part = build(arrays)
+    stored = {key: getattr(part, key).copy() for key in arrays}
+    before = answer(part)
+    for key in arrays:
+        assert not getattr(part, key).flags.writeable, key
+        arrays[key] += 100.0  # the caller changes its own array afterwards
+    for key, value in stored.items():
+        np.testing.assert_array_equal(getattr(part, key), value)
+    np.testing.assert_array_equal(answer(part), before)
+
 
 class TestRowChecks:
     def test_one_d_input_is_rows_for_width_one_else_one_row(self):
@@ -242,11 +305,11 @@ class TestRowChecks:
     def test_sample_checks(self):
         points, values = _sample([0.0, 1.0, 2.0], [[3.0], [4.0], [5.0]])
         assert points.shape == (3, 1) and values.shape == (3,)
-        with pytest.raises(DatasetError, match="2 values for 3 points"):
+        with pytest.raises(DatasetError, match=r"values has shape \(2,\), expected \(3,\)"):
             _sample(np.zeros((3, 2)), [1.0, 2.0])
-        with pytest.raises(DatasetError, match="non-empty"):
+        with pytest.raises(DatasetError, match=r"points has shape \(0, 2\), expected \(n, d\)"):
             _sample(np.zeros((0, 2)), [])
-        with pytest.raises(DatasetError, match="finite"):
+        with pytest.raises(DatasetError, match="values has a non-finite entry"):
             _sample(np.zeros((2, 1)), [1.0, np.inf])
         with np.errstate(over="ignore"):  # the sum overflows; the entrywise check decides
             _sample([[1e308], [1e308]], [1e308, 1e308])

@@ -120,6 +120,13 @@ class TestProjectionMap:
         with pytest.raises(ValueError):
             ProjectionMap("mystery", 3, 2)
 
+    def test_selected_indices_must_be_integers(self):
+        # int() would truncate 0.9 and keep column 0
+        with pytest.raises(ValueError, match="must be an integer, got 0.9"):
+            ProjectionMap("covariate_select", 2, 1, selected_indices=(0.9,))
+        pmap = ProjectionMap("covariate_select", 2, 1, selected_indices=(np.int64(1),))
+        assert pmap.selected_indices == (1,)
+
     def test_one_d_input_to_one_input_map_is_rows(self):
         # the same rule as the estimator and the regressors: n rows of one value
         out = apply_projection(ProjectionMap("identity", 1, 1), np.array([1.0, 2.0, 3.0]))

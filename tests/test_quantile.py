@@ -135,6 +135,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             KernelConfig(1.0, min_neighbors=0)
 
+    def test_min_neighbors_must_be_an_integer(self):
+        # a float would otherwise fail only when the estimator answers
+        with pytest.raises(ValueError, match="min_neighbors must be an integer, got 2.5"):
+            KernelConfig(0.5, 2.5)
+        assert type(KernelConfig(0.5, np.int64(3)).min_neighbors) is int
+
     def test_estimator_input_checks(self):
         with pytest.raises(ValueError):
             QuantileEstimator.fit(np.zeros((2, 1)), [1.0], KernelConfig(1.0))
