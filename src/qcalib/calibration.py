@@ -22,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from .data import Dataset, DatasetError, SplitSpec, Standardizer, _query_rows, split
+from .data import Dataset, DatasetError, SplitSpec, Standardizer, _query_rows, _write_json, split
 from .metrics import _interval_levels
 from .projection import ProjectionMap, apply_projection
 from .quantile import (
@@ -102,18 +102,12 @@ class CalibratedModel:
     def input_dim(self) -> int:
         return len(self.feature_names)
 
-    def _quantile_columns(self) -> list[int]:
-        ext = self.regressor.external_index
-        return [j for j in range(self.input_dim) if j != ext]
-
     def transform_features(self, xs) -> np.ndarray:
         """Raw full-width feature rows to quantile-estimator coordinates."""
         # the estimator checks finiteness on the transformed rows
         xs = _query_rows(xs, self.input_dim, finite=False)
-        z = self.standardizer.transform(xs[:, self._quantile_columns()])
-        if self.projection is not None:
-            z = apply_projection(self.projection, z)
-        return z
+        ext = self.regressor.external_index
+        return _coordinates(xs, ext, self.standardizer, self.projection)
 
     def predict_mean(self, xs) -> np.ndarray:
         return self.regressor.predict(xs)
@@ -167,14 +161,11 @@ def calibrate(data: Dataset, cfg: CalibrationConfig) -> CalibratedModel:
     res = residuals(regressor, cal_part)
 
     ext = regressor.external_index
-    quantile_cols = [j for j in range(data.d) if j != ext]
-    if not quantile_cols:
+    columns = _quantile_columns(data.d, ext)
+    if not columns:
         raise DatasetError("no feature columns left for the quantile step")
-    raw = cal_part.features[:, quantile_cols]
-    standardizer = Standardizer.from_features(raw)
-    z = standardizer.transform(raw)
-    if cfg.projection is not None:
-        z = apply_projection(cfg.projection, z)
+    standardizer = Standardizer.from_features(cal_part.features[:, columns])
+    z = _coordinates(cal_part.features, ext, standardizer, cfg.projection)
 
     if isinstance(cfg.kernel, KernelConfig):
         kernel, cv = cfg.kernel, None
@@ -209,6 +200,19 @@ def calibrate(data: Dataset, cfg: CalibrationConfig) -> CalibratedModel:
         target_name=data.target_name,
         config=echo,
     )
+
+
+def _quantile_columns(d: int, external_index: int | None) -> list[int]:
+    """The feature columns the quantile step sees: all but the external
+    predictions column."""
+    return [j for j in range(d) if j != external_index]
+
+
+def _coordinates(xs, external_index, standardizer, projection) -> np.ndarray:
+    """Full-width feature rows in quantile-estimator coordinates: standardized
+    quantile columns, then projected."""
+    z = standardizer.transform(xs[:, _quantile_columns(xs.shape[1], external_index)])
+    return z if projection is None else apply_projection(projection, z)
 
 
 def _cross_validate(z: np.ndarray, values: np.ndarray, search: BandwidthSearch):
@@ -387,7 +391,7 @@ def _check_widths(model: CalibratedModel) -> None:
     """DatasetError naming both fields where two parts of a model disagree on
     a width, checked in the order the parts are applied."""
     pmap, width = model.projection, model.standardizer.d
-    columns = len(model._quantile_columns())
+    columns = len(_quantile_columns(model.input_dim, model.regressor.external_index))
     pairs = [
         ("regressor.input_dim", model.regressor.input_dim, "feature_names", model.input_dim),
         ("standardizer.means", width, "non-external feature_names", columns),
@@ -403,9 +407,7 @@ def _check_widths(model: CalibratedModel) -> None:
 
 
 def save_model(model: CalibratedModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> CalibratedModel:

@@ -4,16 +4,14 @@ Subcommands: calibrate, predict, evaluate, demo, covshift. Flags beat values
 from an optional ``--config`` file (flat ``key=value`` lines, each key a long
 option of the invoked subcommand, switches set by true/false words), which in
 turn beat built-in defaults. Every run with the same flags
-and seeds writes byte-identical outputs; on failure partially written files
-are removed and the exit code is 2.
+and seeds writes byte-identical outputs; on failure the exit code is 2 and
+the files the command wrote are removed.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
@@ -22,11 +20,20 @@ import numpy as np
 
 from .calibration import (
     CalibrationConfig,
+    _quantile_columns,
     calibrate,
     load_model,
     save_model,
 )
-from .data import Dataset, DatasetError, SplitSpec, load_csv, read_numeric_csv
+from .data import (
+    Dataset,
+    DatasetError,
+    SplitSpec,
+    _write_csv,
+    _write_json,
+    load_csv,
+    read_numeric_csv,
+)
 from .metrics import (
     AgceConfig,
     TauGrid,
@@ -39,7 +46,7 @@ from .metrics import (
 )
 from .projection import correlation_select, gaussian_projection
 from .quantile import BandwidthSearch, KernelConfig
-from .regressors import RegressorSpec
+from .regressors import RegressorSpec, _external_index
 from .synthetic import (
     GeneratorSpec,
     ShiftSpec,
@@ -53,41 +60,6 @@ __all__ = ["main"]
 
 _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
-
-
-class _OutputSet:
-    """Tracks files a command writes so failures can remove partial output."""
-
-    def __init__(self) -> None:
-        self._paths: list[Path] = []
-
-    def register(self, path) -> Path:
-        p = Path(path)
-        self._paths.append(p)
-        return p
-
-    def cleanup(self) -> None:
-        for p in self._paths:
-            p.unlink(missing_ok=True)
-
-
-def _write_json(outputs: _OutputSet, path, payload: dict) -> None:
-    p = outputs.register(path)
-    with open(p, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_csv(outputs: _OutputSet, path, header: list[str], rows) -> None:
-    p = outputs.register(path)
-    with open(p, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def _parse_kernel(bandwidth: str, min_neighbors: int) -> KernelConfig | str:
@@ -115,19 +87,11 @@ def _build_projection(args, data: Dataset, spec: RegressorSpec):
         return None
     if args.projection_dim is None:
         raise ValueError("--projection-dim is required when --projection is set")
-    # the quantile step never sees the external predictions column
-    if spec.kind == "external":
-        keep = [j for j, n in enumerate(data.feature_names) if n != spec.external_column]
-        view = Dataset(
-            data.features[:, keep],
-            data.target,
-            tuple(data.feature_names[j] for j in keep),
-            data.target_name,
-        )
-    else:
-        view = data
+    keep = _quantile_columns(data.d, _external_index(spec, data.feature_names))
     if args.projection == "gaussian":
-        return gaussian_projection(view.d, args.projection_dim, seed=args.seed)
+        return gaussian_projection(len(keep), args.projection_dim, seed=args.seed)
+    names = tuple(data.feature_names[j] for j in keep)
+    view = Dataset(data.features[:, keep], data.target, names, data.target_name)
     return correlation_select(view, args.projection_dim)
 
 
@@ -145,11 +109,12 @@ def _calibration_config(args, data: Dataset) -> CalibrationConfig:
     )
 
 
-def _cmd_calibrate(args, outputs: _OutputSet) -> None:
+def _cmd_calibrate(args, written: list) -> None:
     data = load_csv(args.input, args.target)
     cfg = _calibration_config(args, data)
     model = calibrate(data, cfg)
-    save_model(model, outputs.register(args.output))
+    save_model(model, args.output)
+    written.append(args.output)
     kernel = model.config["kernel"]
     chosen = "fixed"
     if kernel["auto"]:
@@ -179,18 +144,15 @@ def _parse_taus(args) -> TauGrid:
         raise ValueError(f"--taus {args.taus!r}: {exc}") from None
 
 
-def _cmd_predict(args, outputs: _OutputSet) -> None:
+def _cmd_predict(args, written: list) -> None:
     model = load_model(args.model)
     header, table = read_numeric_csv(args.input)
     xs = _aligned_features(model, header, table, args.input)
     grid = _parse_taus(args)
     preds = model.predict_quantile_batch(xs, grid)
     out_header = list(model.feature_names) + [f"q_{t:g}" for t in grid.levels]
-    rows = (
-        [_fmt(v) for v in x_row] + [_fmt(q) for q in q_row]
-        for x_row, q_row in zip(xs, preds)
-    )
-    _write_csv(outputs, args.output, out_header, rows)
+    _write_csv(args.output, out_header, np.hstack([xs, preds]))
+    written.append(args.output)
     print(f"rows: {xs.shape[0]}")
     print(f"levels: {', '.join(f'{t:g}' for t in grid.levels)}")
     print(f"predictions: {args.output}")
@@ -209,7 +171,7 @@ def _quantile_bins(values: np.ndarray, k: int) -> np.ndarray:
     return labels
 
 
-def _cmd_evaluate(args, outputs: _OutputSet) -> None:
+def _cmd_evaluate(args, written: list) -> None:
     model = load_model(args.model)
     target = args.target or model.target_name
     data = load_csv(args.input, target)
@@ -239,10 +201,11 @@ def _cmd_evaluate(args, outputs: _OutputSet) -> None:
     payload["model"] = str(args.model)
     payload["input"] = str(args.input)
     payload["seed"] = args.seed
-    _write_json(outputs, args.output_json, payload)
+    _write_json(args.output_json, payload)
+    written.append(args.output_json)
     if args.output_curve is not None:
-        outputs.register(args.output_curve)
         write_tau_curve_csv(report, args.output_curve)
+        written.append(args.output_curve)
     print(f"rows: {data.n}")
     print(f"mace: {report.mace:.6f}")
     print(f"agce: {report.agce:.6f}")
@@ -250,21 +213,9 @@ def _cmd_evaluate(args, outputs: _OutputSet) -> None:
     print(f"report: {args.output_json}")
 
 
-def _demo_model(args, family: str, regressor: RegressorSpec):
-    """Calibrate on ``args.n`` rows of a synthetic family, split half and half."""
-    train = generate(GeneratorSpec(family, args.n, seed=args.seed))
-    cfg = CalibrationConfig(
-        regressor=regressor,
-        split=SplitSpec(0.5, seed=args.seed),
-        kernel=_parse_kernel(args.bandwidth, 1),
-        seed=args.seed,
-    )
-    return calibrate(train, cfg)
-
-
-def _demo_example1(args, outputs: _OutputSet, outdir: Path) -> None:
+def _demo_example1(args, model, csv_path: Path):
+    """Demo example1's own report fields, CSV header and rows, and printed lines."""
     tau = args.tau
-    model = _demo_model(args, "uniform_triangle", RegressorSpec("ols"))
     test = generate(GeneratorSpec("uniform_triangle", args.n, seed=args.seed + 1))
     foil = sharpness_counterexample_predictor(test.features[:, 0], tau)
     calibrated = model.predict_quantile_batch(test.features, np.array([tau]))[:, 0]
@@ -275,12 +226,8 @@ def _demo_example1(args, outputs: _OutputSet, outdir: Path) -> None:
         "counterexample": group_coverage(foil[:, None], test.target, labels, grid),
         "calibrated": group_coverage(calibrated[:, None], test.target, labels, grid),
     }
-    payload = {
-        "demo": "example1",
-        "n": args.n,
-        "seed": args.seed,
+    fields = {
         "tau": tau,
-        "bandwidth": model.config["kernel"]["bandwidth"],
         "models": {
             name: {
                 "bins": list(t.bins),
@@ -290,93 +237,91 @@ def _demo_example1(args, outputs: _OutputSet, outdir: Path) -> None:
             for name, t in tables.items()
         },
     }
-    _write_json(outputs, outdir / "example1_report.json", payload)
-    rows = []
-    for name, t in tables.items():
-        for b, size, cov in zip(t.bins, t.sizes, t.levels[:, 0]):
-            rows.append([name, b, size, _fmt(cov)])
-    _write_csv(outputs, outdir / "example1_coverage.csv", ["model", "bin", "rows", "coverage"], rows)
-    for name, t in tables.items():
-        pairs = ", ".join(f"{b}: {v:.4f}" for b, v in zip(t.bins, t.levels[:, 0]))
-        print(f"{name} coverage at tau={tau}: {pairs}")
-
-
-def _demo_sine(args, outputs: _OutputSet, outdir: Path) -> None:
-    model = _demo_model(args, "sine_hetero", RegressorSpec("knn", knn_k=20))
-    xs = np.linspace(0.0, 15.0, 301)
-    levels = np.array([0.025, 0.975])
-    bands = model.predict_quantile_batch(xs[:, None], levels)
-    rows = []
-    for x, (lo, hi) in zip(xs, bands):
-        rows.append(
-            [
-                _fmt(x),
-                _fmt(lo),
-                _fmt(hi),
-                _fmt(analytic_quantile("sine_hetero", x, 0.025)),
-                _fmt(analytic_quantile("sine_hetero", x, 0.975)),
-            ]
-        )
-    _write_csv(
-        outputs,
-        outdir / "sine_intervals.csv",
-        ["x", "q_lo", "q_hi", "oracle_lo", "oracle_hi"],
-        rows,
-    )
-    payload = {
-        "demo": "sine",
-        "n": args.n,
-        "seed": args.seed,
-        "alpha": 0.05,
-        "bandwidth": model.config["kernel"]["bandwidth"],
-    }
-    _write_json(outputs, outdir / "sine_report.json", payload)
-    print(f"bandwidth: {model.config['kernel']['bandwidth']:g}")
-    print(f"intervals: {outdir / 'sine_intervals.csv'}")
-
-
-def _demo_scaled_uniform(args, outputs: _OutputSet, outdir: Path) -> None:
-    tau = args.tau
-    model = _demo_model(args, "scaled_uniform", RegressorSpec("ols"))
-    xs = np.linspace(0.0, 1.0, 201)
-    preds = model.predict_quantile_batch(xs[:, None], np.array([tau]))[:, 0]
     rows = [
-        [_fmt(x), _fmt(q), _fmt(analytic_quantile("scaled_uniform", x, tau))]
-        for x, q in zip(xs, preds)
+        [name, b, size, cov]
+        for name, t in tables.items()
+        for b, size, cov in zip(t.bins, t.sizes, t.levels[:, 0])
     ]
-    _write_csv(outputs, outdir / "scaled_uniform_curve.csv", ["x", "q_pred", "q_oracle"], rows)
-    payload = {
-        "demo": "scaled_uniform",
-        "n": args.n,
-        "seed": args.seed,
-        "tau": tau,
-        "bandwidth": model.config["kernel"]["bandwidth"],
-    }
-    _write_json(outputs, outdir / "scaled_uniform_report.json", payload)
-    print(f"bandwidth: {model.config['kernel']['bandwidth']:g}")
-    print(f"curve: {outdir / 'scaled_uniform_curve.csv'}")
+    lines = [
+        f"{name} coverage at tau={tau}: "
+        + ", ".join(f"{b}: {v:.4f}" for b, v in zip(t.bins, t.levels[:, 0]))
+        for name, t in tables.items()
+    ]
+    return fields, ["model", "bin", "rows", "coverage"], rows, lines
 
 
-# each demo with its default row count, bandwidth and level (None: takes no --tau)
+def _demo_sine(args, model, csv_path: Path):
+    xs = np.linspace(0.0, 15.0, 301)
+    levels = (0.025, 0.975)
+    bands = model.predict_quantile_batch(xs[:, None], np.array(levels))
+    oracle = [[analytic_quantile("sine_hetero", x, t) for t in levels] for x in xs]
+    lines = [f"bandwidth: {model.config['kernel']['bandwidth']:g}", f"intervals: {csv_path}"]
+    header = ["x", "q_lo", "q_hi", "oracle_lo", "oracle_hi"]
+    return {"alpha": 0.05}, header, np.column_stack([xs, bands, oracle]), lines
+
+
+def _demo_scaled_uniform(args, model, csv_path: Path):
+    xs = np.linspace(0.0, 1.0, 201)
+    preds = model.predict_quantile_batch(xs[:, None], np.array([args.tau]))[:, 0]
+    oracle = [analytic_quantile("scaled_uniform", x, args.tau) for x in xs]
+    lines = [f"bandwidth: {model.config['kernel']['bandwidth']:g}", f"curve: {csv_path}"]
+    header = ["x", "q_pred", "q_oracle"]
+    return {"tau": args.tau}, header, np.column_stack([xs, preds, oracle]), lines
+
+
+# each demo: its synthetic family, base regressor and CSV, and its default row
+# count, bandwidth and level (None: takes no --tau)
 _DEMOS = {
-    "example1": (_demo_example1, 20000, "0.1", 0.9),
-    "sine": (_demo_sine, 5000, "auto", None),
-    "scaled_uniform": (_demo_scaled_uniform, 5000, "auto", 0.9),
+    "example1": (
+        _demo_example1, "uniform_triangle", RegressorSpec("ols"), "example1_coverage.csv",
+        20000, "0.1", 0.9,
+    ),
+    "sine": (
+        _demo_sine, "sine_hetero", RegressorSpec("knn", knn_k=20), "sine_intervals.csv",
+        5000, "auto", None,
+    ),
+    "scaled_uniform": (
+        _demo_scaled_uniform, "scaled_uniform", RegressorSpec("ols"), "scaled_uniform_curve.csv",
+        5000, "auto", 0.9,
+    ),
 }
 
 
-def _cmd_demo(args, outputs: _OutputSet) -> None:
-    run, n, bandwidth, tau = _DEMOS[args.name]
+def _cmd_demo(args, written: list) -> None:
+    """Calibrate on ``--n`` rows of the demo's family, split half and half, then
+    write the demo's CSV and its report."""
+    run, family, regressor, csv_name, n, bandwidth, tau = _DEMOS[args.name]
     if tau is None and args.tau is not None:
         raise ValueError(f"--tau does not apply to demo {args.name}")
-    args.n, args.bandwidth = args.n or n, args.bandwidth or bandwidth
+    args.n = n if args.n is None else args.n
+    args.bandwidth = bandwidth if args.bandwidth is None else args.bandwidth
     args.tau = tau if args.tau is None else args.tau
+    train = generate(GeneratorSpec(family, args.n, seed=args.seed))
+    cfg = CalibrationConfig(
+        regressor=regressor,
+        split=SplitSpec(0.5, seed=args.seed),
+        kernel=_parse_kernel(args.bandwidth, 1),
+        seed=args.seed,
+    )
+    model = calibrate(train, cfg)
     outdir = Path(args.outdir)
+    fields, header, rows, lines = run(args, model, outdir / csv_name)
     outdir.mkdir(parents=True, exist_ok=True)
-    run(args, outputs, outdir)
+    _write_csv(outdir / csv_name, header, rows)
+    written.append(outdir / csv_name)
+    report = {
+        "demo": args.name,
+        "n": args.n,
+        "seed": args.seed,
+        "bandwidth": model.config["kernel"]["bandwidth"],
+        **fields,
+    }
+    _write_json(outdir / f"{args.name}_report.json", report)
+    written.append(outdir / f"{args.name}_report.json")
+    print("\n".join(lines))
 
 
-def _cmd_covshift(args, outputs: _OutputSet) -> None:
+def _cmd_covshift(args, written: list) -> None:
     data = load_csv(args.input, args.target)
     shift = ShiftSpec(
         pool_fraction=args.pool_fraction,
@@ -412,10 +357,11 @@ def _cmd_covshift(args, outputs: _OutputSet) -> None:
         },
         "models": {name: report_to_dict(rep) for name, rep in reports.items()},
     }
-    _write_json(outputs, outdir / "covshift_report.json", payload)
+    _write_json(outdir / "covshift_report.json", payload)
+    written.append(outdir / "covshift_report.json")
     for name, rep in reports.items():
-        outputs.register(outdir / f"covshift_{name}_curve.csv")
         write_tau_curve_csv(rep, outdir / f"covshift_{name}_curve.csv")
+        written.append(outdir / f"covshift_{name}_curve.csv")
     print(f"train rows: {train.n}, shifted rows: {shifted.n}")
     for name, rep in reports.items():
         print(f"{name} mace: {rep.mace:.6f}")
@@ -563,11 +509,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     args = parser.parse_args(merged_argv)
-    outputs = _OutputSet()
+    written: list = []  # each path is recorded once its write has returned
     try:
-        args.handler(args, outputs)
-    except (DatasetError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        outputs.cleanup()
+        args.handler(args, written)
+    except (ValueError, KeyError, OSError) as exc:  # DatasetError is a ValueError
+        for path in written:
+            Path(path).unlink(missing_ok=True)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

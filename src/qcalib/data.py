@@ -11,9 +11,12 @@ array it passed in changes nothing stored.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import json
 import math
 import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +40,10 @@ class DatasetError(ValueError):
 
 
 def _all_finite(a: np.ndarray) -> bool:
-    # a finite sum has only finite terms; no temporary on that path
-    return math.isfinite(a.sum()) or bool(np.isfinite(a).all())
+    # NaN and the infinities win a max or a min, which, unlike a sum, cannot
+    # overflow and, unlike isfinite, make no temporary; an empty array is finite
+    top = np.maximum.reduce(a, axis=None, initial=0.0)
+    return math.isfinite(top) and math.isfinite(np.minimum.reduce(a, axis=None, initial=0.0))
 
 
 def _query_rows(xs, width: int, finite: bool = True) -> np.ndarray:
@@ -208,17 +213,52 @@ def load_csv(path, target_column: str) -> Dataset:
     return Dataset(features, target, names, target_column)
 
 
+@contextlib.contextmanager
+def _created(path, newline=None):
+    """``path`` opened for writing UTF-8 text, and removed again if the write
+    fails; a path that cannot be opened is left as it is."""
+    fh = open(path, "w", encoding="utf-8", newline=newline)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.unlink(path)
+        raise
+
+
+def _write_json(path, payload) -> None:
+    """Write ``payload`` as indented JSON with sorted keys and a final newline."""
+    with _created(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _cell(value) -> str:
+    # repr is the shortest text that reads back as the same float
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write a header and ``rows``, one at a time, as comma-separated cells.
+
+    ``rows`` is an iterable of rows or a float matrix. A float cell, numpy's
+    included, is written so that it reads back exactly; other cells as text.
+    """
+    if isinstance(rows, np.ndarray):
+        rows = map(np.ndarray.tolist, rows)  # Python floats format faster
+    with _created(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(map(_cell, row) for row in rows)
+
+
 def save_csv(data: Dataset, path) -> None:
     """Write a dataset as CSV, features first and the target column last.
 
-    Floats are written with full round-trip precision so that
     ``load_csv(save_csv(ds))`` reproduces the dataset exactly.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*data.feature_names, data.target_name])
-        for x_row, y in zip(data.features, data.target):
-            writer.writerow([repr(float(v)) for v in x_row] + [repr(float(y))])
+    table = np.column_stack([data.features, data.target])
+    _write_csv(path, [*data.feature_names, data.target_name], table)
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,12 @@ counts as covered.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+
+from .data import _write_csv
 
 __all__ = [
     "AgceConfig",
@@ -269,8 +270,6 @@ def report_to_dict(report: MetricReport) -> dict:
 
 def write_tau_curve_csv(report: MetricReport, path) -> None:
     """Per-level curve (tau, observed, gap) as CSV for plotting."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "observed", "gap"])
-        for t, o in zip(report.tau_levels, report.per_tau_observed):
-            writer.writerow([repr(float(t)), repr(float(o)), repr(float(o - t))])
+    taus, observed = report.tau_levels, report.per_tau_observed
+    table = np.column_stack([taus, observed, np.subtract(observed, taus)])
+    _write_csv(path, ["tau", "observed", "gap"], table)

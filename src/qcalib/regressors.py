@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, DatasetError, _frozen, _query_rows
+from .data import Dataset, DatasetError, _frozen, _index, _query_rows
 from .neighbors import k_nearest
 
 __all__ = [
@@ -41,6 +41,7 @@ class RegressorSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown regressor kind {self.kind!r}, expected one of {_KINDS}")
+        object.__setattr__(self, "knn_k", _index(self.knn_k, "knn_k"))
         if self.kind == "knn" and self.knn_k < 1:
             raise ValueError(f"knn_k must be at least 1, got {self.knn_k}")
         if self.kind == "external" and not self.external_column:
@@ -75,11 +76,13 @@ class FittedRegressor:
             # column-major, so the distance kernel reads each coordinate without a copy
             features = _frozen(self.train_features, "train_features", (None, d), order="F")
             n = features.shape[0]
-            if self.knn_k is None or not 1 <= self.knn_k <= n:
+            k = None if self.knn_k is None else _index(self.knn_k, "knn_k")
+            if k is None or not 1 <= k <= n:
                 raise DatasetError(
                     f"knn_k={self.knn_k} is unset, below 1 or exceeds the {n} training rows"
                 )
             targets = _frozen(self.train_targets, "train_targets", (n,))
+            object.__setattr__(self, "knn_k", k)
             object.__setattr__(self, "train_features", features)
             object.__setattr__(self, "train_targets", targets)
         elif self.kind == "external":
@@ -127,18 +130,25 @@ def fit_regressor(spec: RegressorSpec, train: Dataset) -> FittedRegressor:
             train_targets=train.target,
             knn_k=spec.knn_k,
         )
-    try:
-        idx = train.feature_names.index(spec.external_column)
-    except ValueError:
-        raise ValueError(
-            f"no column named {spec.external_column!r} holds the external predictions"
-        ) from None
     return FittedRegressor(
         kind="external",
         input_dim=train.d,
         external_column=spec.external_column,
-        external_index=idx,
+        external_index=_external_index(spec, train.feature_names),
     )
+
+
+def _external_index(spec: RegressorSpec, names) -> int | None:
+    """Where in ``names`` an external regressor reads its predictions; None
+    for the other kinds."""
+    if spec.kind != "external":
+        return None
+    try:
+        return names.index(spec.external_column)
+    except ValueError:
+        raise ValueError(
+            f"no column named {spec.external_column!r} holds the external predictions"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -800,6 +800,12 @@ class TestDemo:
         assert main(argv) == 2
         assert "--tau does not apply to demo sine" in capsys.readouterr().err
 
+    def test_flag_given_as_zero_is_not_the_default(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        assert main(["demo", "sine", "--n", "0", "--outdir", str(outdir)]) == 2
+        assert "n must be positive, got 0" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_demo_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -841,6 +847,62 @@ class TestCovshift:
         for name in ("local", "marginal"):
             assert (outdir / f"covshift_{name}_curve.csv").exists()
             assert 0.0 <= blob["models"][name]["mace"] <= 1.0
+
+
+def _output_argv(command, model_path, train_csv, test_csv, path):
+    """argv of ``command`` with ``path`` as the output it writes last."""
+    return {
+        "calibrate": [
+            "calibrate", "--input", str(train_csv), "--target", "y",
+            "--output", str(path), "--bandwidth", "0.8",
+        ],
+        "predict": [
+            "predict", "--model", str(model_path), "--input", str(test_csv),
+            "--output", str(path),
+        ],
+        "evaluate": [
+            "evaluate", "--model", str(model_path), "--input", str(test_csv),
+            "--output-json", str(model_path.parent / "report.json"), "--output-curve", str(path),
+        ],
+    }[command]
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("command", ["calibrate", "predict", "evaluate"])
+    @pytest.mark.parametrize("where", ["a directory", "a missing folder"])
+    def test_unwritable_output_exits_2_naming_it(
+        self, tmp_path, train_csv, test_csv, capsys, command, where
+    ):
+        model_path = run_calibrate(tmp_path, train_csv)
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out if where == "a directory" else out / "missing" / "file"
+        capsys.readouterr()
+        assert main(_output_argv(command, model_path, train_csv, test_csv, path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+        # evaluate wrote its report before the curve failed, and removed it
+        assert sorted(out.iterdir()) == [] and not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "predict", "evaluate"])
+    def test_existing_file_that_cannot_be_opened_is_kept(
+        self, tmp_path, train_csv, test_csv, capsys, monkeypatch, command
+    ):
+        model_path = run_calibrate(tmp_path, train_csv)
+        path = tmp_path / "locked.out"
+        path.write_text("someone else's\n")
+        real_open = open
+
+        def refusing_open(file, mode="r", *args, **kwargs):
+            if str(file) == str(path) and "w" in mode:
+                raise PermissionError(13, "Permission denied", str(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", refusing_open)
+        assert main(_output_argv(command, model_path, train_csv, test_csv, path)) == 2
+        assert "Permission denied" in capsys.readouterr().err
+        assert path.read_text() == "someone else's\n"
+        assert not (tmp_path / "report.json").exists()
 
 
 def test_module_entry_point(tmp_path):

@@ -10,6 +10,8 @@ from qcalib.data import (
     Standardizer,
     _query_rows,
     _sample,
+    _write_csv,
+    _write_json,
     apply_standardizer,
     fit_standardizer,
     load_csv,
@@ -81,6 +83,33 @@ class TestCsv:
         assert back.target_name == "y"
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.target, ds.target)
+
+    def test_writers_remove_the_file_a_failed_write_leaves(self, tmp_path):
+        def rows():
+            yield [1.0, "a", 2]
+            raise RuntimeError("row 2")
+
+        with pytest.raises(RuntimeError, match="row 2"):
+            _write_csv(tmp_path / "t.csv", ["x", "y", "z"], rows())
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _write_json(tmp_path / "t.json", {"a": 1.0, "b": object()})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_writers_leave_a_path_they_cannot_open(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            _write_json(tmp_path, {})
+        with pytest.raises(IsADirectoryError):
+            _write_csv(tmp_path, ["x"], [[1.0]])
+        assert tmp_path.is_dir()
+
+    def test_csv_cells(self, tmp_path):
+        rows = [["a", 3, np.int64(4), 0.1, np.float64(1e-7)], np.array([0.5, 1e16, -0.0, 2.0, 3.0])]
+        _write_csv(tmp_path / "t.csv", ["s", "i", "j", "f", "g"], rows)
+        _write_csv(tmp_path / "m.csv", ["a", "b"], np.array([[0.1, 2.0]]))
+        assert (tmp_path / "t.csv").read_bytes() == (
+            b"s,i,j,f,g\r\na,3,4,0.1,1e-07\r\n0.5,1e+16,-0.0,2.0,3.0\r\n"
+        )
+        assert (tmp_path / "m.csv").read_text() == "a,b\n0.1,2.0\n"
 
     def test_target_column_position_free(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -311,5 +340,14 @@ class TestRowChecks:
             _sample(np.zeros((0, 2)), [])
         with pytest.raises(DatasetError, match="values has a non-finite entry"):
             _sample(np.zeros((2, 1)), [1.0, np.inf])
-        with np.errstate(over="ignore"):  # the sum overflows; the entrywise check decides
-            _sample([[1e308], [1e308]], [1e308, 1e308])
+        _sample([[1e308], [1e308]], [1e308, 1e308])  # their sum overflows
+
+    def test_huge_finite_values_pass_without_a_warning(self):
+        # the suite fails on any warning, so a check that summed would fail here
+        huge = [[1e308], [1e308]]
+        assert Dataset(huge, [1.0, 2.0], ("x",)).n == 2
+        estimator = QuantileEstimator(huge, [1e308, -1e308], KernelConfig(1.0))
+        assert estimator.predict_quantile_batch([[1e308]], [0.5]).tolist() == [[-1e308]]
+        ols = FittedRegressor(kind="ols", input_dim=2, coefficients=[1.0, 0.5, -0.5])
+        assert ols.predict([[1e308, 1e308], [-1e308, -1e308]]).tolist() == [1.0, 1.0]
+        assert _query_rows(np.empty((0, 2)), 2).shape == (0, 2)

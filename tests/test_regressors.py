@@ -1,8 +1,11 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from qcalib.data import Dataset
-from qcalib.regressors import RegressorSpec, fit_regressor, residuals
+from qcalib.regressors import FittedRegressor, RegressorSpec, fit_regressor, residuals
 
 
 def make(features, target, names=None):
@@ -161,8 +164,21 @@ def test_non_finite_query_row_rejected(spec, bad):
 
 
 def test_huge_finite_row_accepted():
-    # the row's sum overflows, so the entrywise check decides
+    # the row's sum overflows, and no warning is raised
     train = make([[0.0, 1.0], [1.0, 2.0]], [1.0, 2.0])
     model = fit_regressor(RegressorSpec("external", external_column="x2"), train)
-    with np.errstate(over="ignore"):
-        assert model.predict([[1e308, 1e308]]).tolist() == [1e308]
+    assert model.predict([[1e308, 1e308]]).tolist() == [1e308]
+
+
+def test_knn_k_must_be_an_integer():
+    with pytest.raises(ValueError, match="knn_k must be an integer, got 2.5"):
+        RegressorSpec("knn", knn_k=2.5)
+    stored = {"train_features": [[0.0], [1.0], [2.0]], "train_targets": [0.0, 1.0, 2.0]}
+    with pytest.raises(ValueError, match="knn_k must be an integer, got 2.5"):
+        FittedRegressor(kind="knn", input_dim=1, knn_k=2.5, **stored)
+    # a numpy integer is stored as an int, so the config echo still serializes
+    spec = RegressorSpec("knn", knn_k=np.int64(2))
+    model = FittedRegressor(kind="knn", input_dim=1, knn_k=np.int64(2), **stored)
+    assert type(spec.knn_k) is int and type(model.knn_k) is int
+    assert json.loads(json.dumps(asdict(spec)))["knn_k"] == 2
+    assert model.predict([[0.9]]).tolist() == [0.5]

@@ -1,0 +1,154 @@
+"""Run a fixed matrix of qcalib commands and fingerprint everything they write.
+
+Usage::
+
+    PYTHONPATH=src python tools/output_matrix.py OUTDIR
+
+The matrix is 48 models on a 400-row CSV (x1, x2, x3, pred, y):
+{ols, knn k = 7, external} x {no projection, gaussian dim 2, correlation
+dim 2, gaussian dim 10 (the identity)} x {--bandwidth 0.3, auto} x
+{--min-neighbors 1, 3}. Each model is followed by ``predict --taus
+0.1,0.5,0.9``, ``predict --alpha 0.2`` and ``evaluate --group-column x1
+--group-bins 3 --output-curve`` on a 200-row test CSV. Then the three demos
+at ``--n 600``, ``scaled_uniform --n 500 --bandwidth 0.2 --tau 0.7``, and
+``covshift`` with OLS ``auto`` and with kNN plus a correlation projection.
+
+OUTDIR receives every file the commands write, ``commands.log`` with each
+command, its printed output and its exit code, and a sorted ``SHA256SUMS``.
+All paths are relative to OUTDIR, so runs of two source trees into two
+directories compare with ``diff OUTDIR_A/SHA256SUMS OUTDIR_B/SHA256SUMS``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import itertools
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import qcalib
+from qcalib.cli import main
+from qcalib.data import Dataset, save_csv
+
+REGRESSORS = {
+    "ols": ["--regressor", "ols"],
+    "knn": ["--regressor", "knn", "--knn-k", "7"],
+    "external": ["--regressor", "external", "--external-column", "pred"],
+}
+PROJECTIONS = {
+    "none": [],
+    "gaussian2": ["--projection", "gaussian", "--projection-dim", "2"],
+    "correlation2": ["--projection", "correlation", "--projection-dim", "2"],
+    "identity": ["--projection", "gaussian", "--projection-dim", "10"],
+}
+BANDWIDTHS = ("0.3", "auto")
+MIN_NEIGHBORS = ("1", "3")
+
+
+def _dataset(n: int, seed: int) -> Dataset:
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(0.0, 3.0, size=(n, 3))
+    mean = np.sin(xs[:, 0]) + 0.5 * xs[:, 1]
+    y = mean + rng.normal(0.0, 0.2 + 0.3 * xs[:, 2])
+    pred = mean + rng.normal(0.0, 0.1, size=n)
+    return Dataset(np.column_stack([xs, pred]), y, ("x1", "x2", "x3", "pred"), "y")
+
+
+def _run(log: list[str], *argv: str) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except Exception as exc:  # noqa: BLE001 - a traceback is an outcome to compare
+            code = f"exception {type(exc).__name__}: {exc}"
+    log.append(f"$ qcalib {' '.join(argv)}\n")
+    log.append(out.getvalue())
+    log.append("".join(f"stderr: {line}\n" for line in err.getvalue().splitlines()))
+    log.append(f"exit {code}\n")
+
+
+def run_matrix(log: list[str]) -> None:
+    save_csv(_dataset(400, 1), "train.csv")
+    save_csv(_dataset(200, 2), "test.csv")
+    for (reg, reg_flags), (proj, proj_flags), h, k in itertools.product(
+        REGRESSORS.items(), PROJECTIONS.items(), BANDWIDTHS, MIN_NEIGHBORS
+    ):
+        name = f"{reg}-{proj}-h{h}-k{k}"
+        _run(
+            log, "calibrate", "--input", "train.csv", "--target", "y",
+            "--output", f"{name}.model.json", "--bandwidth", h, "--min-neighbors", k,
+            "--seed", "3", *reg_flags, *proj_flags,
+        )
+        _run(
+            log, "predict", "--model", f"{name}.model.json", "--input", "test.csv",
+            "--output", f"{name}.taus.csv", "--taus", "0.1,0.5,0.9",
+        )
+        _run(
+            log, "predict", "--model", f"{name}.model.json", "--input", "test.csv",
+            "--output", f"{name}.alpha.csv", "--alpha", "0.2",
+        )
+        _run(
+            log, "evaluate", "--model", f"{name}.model.json", "--input", "test.csv",
+            "--output-json", f"{name}.report.json", "--output-curve", f"{name}.curve.csv",
+            "--group-column", "x1", "--group-bins", "3", "--seed", "4",
+        )
+    for demo in ("example1", "sine", "scaled_uniform"):
+        _run(log, "demo", demo, "--n", "600", "--outdir", f"demo-{demo}", "--seed", "5")
+    _run(
+        log, "demo", "scaled_uniform", "--n", "500", "--bandwidth", "0.2", "--tau", "0.7",
+        "--outdir", "demo-scaled_uniform-tau", "--seed", "5",
+    )
+    _run(
+        log, "covshift", "--input", "train.csv", "--target", "y", "--outdir", "covshift-ols",
+        "--regressor", "ols", "--bandwidth", "auto", "--seed", "6",
+    )
+    _run(
+        log, "covshift", "--input", "train.csv", "--target", "y", "--outdir", "covshift-knn",
+        "--regressor", "knn", "--knn-k", "7", "--projection", "correlation",
+        "--projection-dim", "2", "--seed", "6",
+    )
+
+
+def write_sums(root: Path) -> int:
+    files = sorted(
+        p.relative_to(root).as_posix()
+        for p in root.rglob("*")
+        if p.is_file() and p.name != "SHA256SUMS"
+    )
+    lines = [f"{hashlib.sha256((root / f).read_bytes()).hexdigest()}  {f}\n" for f in files]
+    (root / "SHA256SUMS").write_text("".join(lines), encoding="utf-8")
+    return len(files)
+
+
+def main_matrix(outdir: str) -> int:
+    root = Path(outdir)
+    root.mkdir(parents=True, exist_ok=True)
+    if any(root.iterdir()):
+        print(f"error: {root} is not empty", file=sys.stderr)
+        return 2
+    log: list[str] = []
+    here = os.getcwd()
+    os.chdir(root)
+    try:
+        run_matrix(log)
+        Path("commands.log").write_text("".join(log), encoding="utf-8")
+    finally:
+        os.chdir(here)
+    count = write_sums(root)
+    commands = sum(line.startswith("$ ") for line in log)
+    failed = sum(line.startswith("exit ") and line != "exit 0\n" for line in log)
+    print(f"qcalib: {Path(qcalib.__file__).parent}")
+    print(f"{commands} commands, {failed} not exiting 0, {count} files in {root / 'SHA256SUMS'}")
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
+        raise SystemExit(2)
+    raise SystemExit(main_matrix(sys.argv[1]))
