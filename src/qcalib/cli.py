@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -449,24 +450,28 @@ def _read_config_pairs(path, command: argparse.ArgumentParser) -> list[tuple[str
         for flag in action.option_strings
         if flag.startswith("--") and flag not in ("--help", "--config")
     }
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     pairs: list[tuple[str, str | None]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise ValueError(f"{path} line {line_no}: expected key=value, got {text!r}")
-            key, value = (part.strip() for part in text.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in switches:
-                raise ValueError(f"{path} line {line_no}: unknown key {key!r} for {command.prog}")
-            if not switches[key]:
-                pairs.append((key, value))
-            elif value.lower() in _TRUE_WORDS:
-                pairs.append((key, None))
-            elif value.lower() not in _FALSE_WORDS:
-                raise ValueError(f"{path} line {line_no}: {key} must be true/false")
+    for line_no, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        if "=" not in text:
+            raise ValueError(f"{path} line {line_no}: expected key=value, got {text!r}")
+        key, value = (part.strip() for part in text.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in switches:
+            raise ValueError(f"{path} line {line_no}: unknown key {key!r} for {command.prog}")
+        if not switches[key]:
+            pairs.append((key, value))
+        elif value.lower() in _TRUE_WORDS:
+            pairs.append((key, None))
+        elif value.lower() not in _FALSE_WORDS:
+            raise ValueError(f"{path} line {line_no}: {key} must be true/false")
     return pairs
 
 
@@ -500,6 +505,28 @@ def _merge_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     return merged
 
 
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist (yet)
+        return Path(a).resolve() == Path(b).resolve()
+
+
+def _check_file_flags(args) -> None:
+    """Refuse, before any work, an output path that names an input file or
+    another output; the flags are compared as resolved paths."""
+    files = [
+        (dest, getattr(args, dest, None))
+        for dest in ("config", "model", "input", "output", "output_json", "output_curve")
+    ]
+    files = [(dest, path) for dest, path in files if path is not None]
+    for i, (first, a) in enumerate(files):
+        for second, b in files[i + 1 :]:
+            if second.startswith("output") and _same_file(a, b):
+                flags = " and ".join("--" + dest.replace("_", "-") for dest in (first, second))
+                raise ValueError(f"{flags} name the same file {b}")
+
+
 def main(argv=None) -> int:
     raw_argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
@@ -511,6 +538,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(merged_argv)
     written: list = []  # each path is recorded once its write has returned
     try:
+        _check_file_flags(args)
         args.handler(args, written)
     except (ValueError, KeyError, OSError) as exc:  # DatasetError is a ValueError
         for path in written:

@@ -144,42 +144,52 @@ class Dataset:
 def read_numeric_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a headered all-numeric CSV as (column names, float matrix).
 
-    Raises :class:`DatasetError` on a non-numeric or non-finite cell
-    (reported with its line and column), a ragged row, or a file with no
-    data rows; blank lines are skipped.
+    The file is UTF-8, with or without a byte order mark. Raises
+    :class:`DatasetError` naming the file on bytes that are not UTF-8, a
+    blank header cell, a non-numeric or non-finite cell (reported with its
+    line and column), a ragged row, or a file with no data rows; blank lines
+    are skipped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DatasetError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        rows: list[list[float]] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            if len(row) != len(header):
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header, rows = _numeric_rows(path, csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
+    return header, np.asarray(rows, dtype=float)
+
+
+def _numeric_rows(path, reader) -> tuple[tuple[str, ...], list[list[float]]]:
+    header = next(reader, None)
+    if header is None:
+        raise DatasetError(f"{path}: empty file")
+    header = [h.strip() for h in header]
+    for column, name in enumerate(header, start=1):
+        if not name:
+            raise DatasetError(f"{path}: header column {column} is blank")
+    rows: list[list[float]] = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(cell.strip() == "" for cell in row):
+            continue
+        if len(row) != len(header):
+            raise DatasetError(f"{path} line {line_no}: {len(row)} cells, expected {len(header)}")
+        parsed = []
+        for name, cell in zip(header, row):
+            text = cell.strip()
+            try:
+                value = float(text)
+            except ValueError:
                 raise DatasetError(
-                    f"{path} line {line_no}: {len(row)} cells, expected {len(header)}"
+                    f"{path} line {line_no} column {name!r}: not a number: {text!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise DatasetError(
+                    f"{path} line {line_no} column {name!r}: non-finite value {text!r}"
                 )
-            parsed = []
-            for name, cell in zip(header, row):
-                text = cell.strip()
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise DatasetError(
-                        f"{path} line {line_no} column {name!r}: not a number: {text!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DatasetError(
-                        f"{path} line {line_no} column {name!r}: non-finite value {text!r}"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
+            parsed.append(value)
+        rows.append(parsed)
     if not rows:
         raise DatasetError(f"{path}: empty dataset")
-    return tuple(header), np.asarray(rows, dtype=float)
+    return tuple(header), rows
 
 
 def load_csv(path, target_column: str) -> Dataset:
@@ -188,7 +198,8 @@ def load_csv(path, target_column: str) -> Dataset:
     Parameters
     ----------
     path : str or path-like
-        File to read. UTF-8, comma separated, no quoting needed.
+        File to read. UTF-8 (a byte order mark is skipped), comma
+        separated, no quoting needed.
     target_column : str
         Header name of the target column; every other column becomes a
         feature, keeping file order.

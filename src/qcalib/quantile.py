@@ -118,7 +118,7 @@ class QuantileEstimator:
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "values", values)
         points_by_value, values_by_value = _by_value(points, values)
-        object.__setattr__(self, "_points_by_value", points_by_value)
+        object.__setattr__(self, "_store", neighbors.KeySortedPoints(points_by_value))
         object.__setattr__(self, "_values_by_value", values_by_value)
 
     @classmethod
@@ -143,7 +143,7 @@ class QuantileEstimator:
         """
         xs = _query_rows(np.asarray(x, dtype=float).reshape(1, -1), self.dim)
         kernel = self.kernel
-        _, dists = next(neighbors._distance_blocks(xs, self.points))
+        _, dists, _ = next(neighbors._distance_blocks(xs, neighbors.KeySortedPoints(self.points)))
         _, radii, members = neighbors.block_balls(dists, kernel.bandwidth, kernel.min_neighbors)
         return LocalNeighborhood(members, float(radii[0]))
 
@@ -162,9 +162,8 @@ class QuantileEstimator:
         levels = taus.levels if isinstance(taus, TauGrid) else TauGrid(taus).levels
         xs = _query_rows(xs, self.dim)
         out = np.empty((xs.shape[0], levels.shape[0]))
-        for start, dists in neighbors._distance_blocks(xs, self._points_by_value):
-            quantiles = _ball_quantiles(dists, self._values_by_value, self.kernel, levels)
-            out[start : start + dists.shape[0]] = quantiles
+        for rows, dists, _ in neighbors._distance_blocks(xs, self._store):
+            out[rows] = _ball_quantiles(dists, self._values_by_value, self.kernel, levels)
             del dists  # before the next block is built
         return out
 
@@ -260,8 +259,8 @@ def bandwidth_cv_scores(points, values, search: BandwidthSearch) -> tuple[np.nda
         mask[held_out] = False
         kept_points, kept_values = _by_value(points[mask], values[mask])
         preds = np.empty((candidates.shape[0], held_out.shape[0], levels.shape[0]))
-        for start, dists in neighbors._distance_blocks(points[held_out], kept_points):
-            rows = slice(start, start + dists.shape[0])
+        kept = neighbors.KeySortedPoints(kept_points)
+        for rows, dists, _ in neighbors._distance_blocks(points[held_out], kept):
             for ci, kernel in enumerate(kernels):
                 preds[ci, rows] = _ball_quantiles(dists, kept_values, kernel, levels)
             del dists  # before the next block is built

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, DatasetError, _frozen, _index, _query_rows
-from .neighbors import k_nearest
+from .neighbors import KeySortedPoints, k_nearest
 
 __all__ = [
     "FittedRegressor",
@@ -53,8 +53,9 @@ class FittedRegressor:
     """A fitted base model; ``predict`` maps an (n, d) matrix to n values.
 
     For ``ols`` the coefficient vector has the intercept first. For ``knn``
-    the training sample is stored verbatim. For ``external`` predictions are
-    read straight out of the stored feature column.
+    the training sample is stored verbatim; the neighbor scan reads its
+    features through a key-sorted store, never serialized. For ``external``
+    predictions are read straight out of the stored feature column.
     """
 
     kind: str
@@ -85,6 +86,7 @@ class FittedRegressor:
             object.__setattr__(self, "knn_k", k)
             object.__setattr__(self, "train_features", features)
             object.__setattr__(self, "train_targets", targets)
+            object.__setattr__(self, "_store", KeySortedPoints(features))
         elif self.kind == "external":
             if self.external_index is None or not 0 <= self.external_index < d:
                 raise DatasetError(f"external_index {self.external_index} is outside input_dim {d}")
@@ -92,6 +94,11 @@ class FittedRegressor:
             raise DatasetError(f"unknown regressor kind {self.kind!r}, expected one of {_KINDS}")
 
     def predict(self, xs) -> np.ndarray:
+        return self._predict(xs, slabs=False)
+
+    def _predict(self, xs, slabs: bool) -> np.ndarray:
+        """``predict``; with ``slabs`` a kNN scan may read key slabs, see
+        :func:`qcalib.neighbors.k_nearest`."""
         xs = _query_rows(xs, self.input_dim)
         if self.kind == "ols":
             # an elementwise product summed along contiguous rows rounds the
@@ -101,7 +108,7 @@ class FittedRegressor:
         if self.kind == "external":
             return xs[:, self.external_index].copy()
         # equal distances resolve to the lower index, as a stable sort would
-        nearest = k_nearest(xs, self.train_features, self.knn_k)
+        nearest = k_nearest(xs, self._store, self.knn_k, slabs)
         return self.train_targets[nearest].mean(axis=1)
 
 
@@ -160,6 +167,7 @@ class ResidualSample:
 
 
 def residuals(model: FittedRegressor, data: Dataset) -> ResidualSample:
-    """Exact elementwise residuals of the model on a dataset."""
-    preds = model.predict(data.features)
+    """Exact elementwise residuals of the model on a dataset; the kNN
+    scan reads key slabs, with the same predictions."""
+    preds = model._predict(data.features, slabs=True)
     return ResidualSample(points=data.features, residuals=data.target - preds)

@@ -905,6 +905,102 @@ class TestOutputPaths:
         assert not (tmp_path / "report.json").exists()
 
 
+FILE_CLASHES = [
+    pytest.param(
+        ["calibrate", "--input", "{train}", "--target", "y", "--output", "{train}"],
+        "--input and --output",
+        id="calibrate-over-its-input",
+    ),
+    pytest.param(
+        ["calibrate", "--input", "{train}", "--target", "y", "--output", "{sub}/../train.csv"],
+        "--input and --output",
+        id="calibrate-over-its-input-spelled-otherwise",
+    ),
+    pytest.param(
+        ["calibrate", "--input", "{train}", "--target", "y", "--output", "{cfg}",
+         "--config", "{cfg}"],
+        "--config and --output",
+        id="calibrate-over-its-config",
+    ),
+    pytest.param(
+        ["predict", "--model", "{model}", "--input", "{test}", "--output", "{model}"],
+        "--model and --output",
+        id="predict-over-its-model",
+    ),
+    pytest.param(
+        ["predict", "--model", "{model}", "--input", "{test}", "--output", "{link}"],
+        "--input and --output",
+        id="predict-over-a-link-to-its-input",
+    ),
+    pytest.param(
+        ["evaluate", "--model", "{model}", "--input", "{test}", "--output-json", "{new}",
+         "--output-curve", "{new}"],
+        "--output-json and --output-curve",
+        id="evaluate-two-outputs-to-one-file",
+    ),
+    pytest.param(
+        ["evaluate", "--model", "{model}", "--input", "{test}", "--output-json", "{model}"],
+        "--model and --output-json",
+        id="evaluate-over-its-model",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, flags", FILE_CLASHES)
+def test_output_naming_an_input_or_another_output_exits_2(
+    tmp_path, train_csv, test_csv, capsys, argv, flags
+):
+    model_path = run_calibrate(tmp_path, train_csv)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "cfg.txt").write_text("bandwidth = 0.8\n")
+    (tmp_path / "link.csv").symlink_to(test_csv)
+    paths = {
+        "train": train_csv, "test": test_csv, "model": model_path, "sub": tmp_path / "sub",
+        "cfg": tmp_path / "cfg.txt", "link": tmp_path / "link.csv", "new": tmp_path / "same.out",
+    }
+    before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {flags} name the same file ")
+    assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+def test_byte_order_marks_and_undecodable_files(tmp_path, train_csv, capsys):
+    # a CSV and a config file saved with a BOM read as without one
+    bom_csv = tmp_path / "bom.csv"
+    bom_csv.write_bytes(train_csv.read_bytes().decode().encode("utf-8-sig"))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_bytes("bandwidth = 0.8\nseed = 1\n".encode("utf-8-sig"))
+    model_path, plain_path = tmp_path / "model.json", tmp_path / "plain.json"
+    argv = ["calibrate", "--input", str(bom_csv), "--target", "y", "--output", str(model_path)]
+    assert main([*argv, "--config", str(cfg)]) == 0
+    assert json.loads(model_path.read_text())["feature_names"] == ["x"]
+    plain = ["calibrate", "--input", str(train_csv), "--target", "y", "--output", str(plain_path)]
+    assert main([*plain, "--bandwidth", "0.8", "--seed", "1"]) == 0
+    assert model_path.read_bytes() == plain_path.read_bytes()
+    preds = tmp_path / "preds.csv"
+    predict = ["predict", "--model", str(model_path), "--input", str(train_csv)]
+    assert main([*predict, "--output", str(preds)]) == 0
+    # bytes that are not UTF-8 exit 2 naming the file
+    for path in (bom_csv, cfg):
+        path.write_bytes(path.read_bytes() + b"caf\xe9\n")
+        capsys.readouterr()
+        assert main([*argv, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xe9")
+        path.write_bytes(path.read_bytes()[: -len(b"caf\xe9\n")])
+
+
+def test_blank_header_cell_exits_2(tmp_path, capsys):
+    path = tmp_path / "blank.csv"
+    path.write_text("a,,y\n1,2,3\n4,5,6\n7,8,9\n1,1,1\n")
+    out = tmp_path / "model.json"
+    assert main(["calibrate", "--input", str(path), "--target", "y", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: header column 2 is blank\n"
+    assert not out.exists()
+
+
 def test_module_entry_point(tmp_path):
     csv_path = tmp_path / "train.csv"
     save_csv(generate(GeneratorSpec("uniform_triangle", 60, seed=0)), csv_path)

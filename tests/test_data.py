@@ -126,6 +126,24 @@ class TestCsv:
         assert header == ("x", "y")
         assert table.shape == (2, 2)
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes("x,y\n1,2\n".encode("utf-8-sig"))
+        assert read_numeric_csv(path)[0] == ("x", "y")
+
+    @pytest.mark.parametrize("header, column", [("a,,y", 2), (",a,y", 1), ("a,y, ", 3)])
+    def test_blank_header_cell_named_by_column(self, tmp_path, header, column):
+        path = tmp_path / "data.csv"
+        path.write_text(f"{header}\n1,2,3\n")
+        with pytest.raises(DatasetError, match=f"^{path}: header column {column} is blank$"):
+            read_numeric_csv(path)
+
+    def test_undecodable_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"x,y\n1,2\n3,caf\xe9\n")
+        with pytest.raises(DatasetError, match=f"^{path}: 'utf-8' codec can't decode byte 0xe9"):
+            read_numeric_csv(path)
+
     def test_missing_target_column(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("x,y\n1,2\n")

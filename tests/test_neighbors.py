@@ -4,7 +4,8 @@ Coordinates are drawn from a coarse lattice (integers / 1000) so that
 duplicate points and equidistant ties are common, and a duplicate and a
 mirror image of the first point are added to every sample so that both
 occur. The block budget is shrunk so every call splits its queries into
-several blocks, the last one partial.
+several blocks, the last one partial. Each kNN sample runs through both
+scans: every block over all stored points, and every block over its slabs.
 """
 
 import math
@@ -29,6 +30,8 @@ from qcalib.reference import sorted_left_quantile
 from qcalib.regressors import FittedRegressor, RegressorSpec
 
 ROWS_PER_BLOCK = 3
+# _FULL_SCAN_SHARE values: no block takes a slab, or every block does
+SCANS = {"full": -1.0, "slab": 1.0}
 LEVELS = (0.01, 0.14, 1.0 / 3.0, 0.5, 0.77, 0.99)
 
 coordinate = st.integers(min_value=-4, max_value=4).map(lambda k: k / 1000)
@@ -70,12 +73,15 @@ def test_knn_equals_stable_argsort_for_every_k(sample):
             model = FittedRegressor(
                 kind="knn", input_dim=d, train_features=points, train_targets=values, knn_k=k
             )
-            got_idx = neighbors.k_nearest(queries, points, k)
-            got = model.predict(queries)
-            for i, q in enumerate(queries):
-                want_idx = np.argsort(distance_row(points, q), kind="stable")[:k]
-                assert got_idx[i].tolist() == want_idx.tolist()
-                assert got[i] == values[want_idx].mean()
+            wants = [np.argsort(distance_row(points, q), kind="stable")[:k] for q in queries]
+            for share in SCANS.values():
+                mp.setattr(neighbors, "_FULL_SCAN_SHARE", share)
+                for slabs in (False, True):
+                    got_idx = neighbors.k_nearest(queries, model._store, k, slabs)
+                    got = model._predict(queries, slabs)
+                    for i, want_idx in enumerate(wants):
+                        assert got_idx[i].tolist() == want_idx.tolist()
+                        assert got[i] == values[want_idx].mean()
 
 
 @settings(max_examples=150, deadline=None)
@@ -141,9 +147,10 @@ def test_distances_equal_numpy_sum_bitwise(monkeypatch, d):
     for stored in (points, np.asfortranarray(points)):
         got = np.full_like(want, -1.0)
         starts = []
-        for start, block in neighbors._distance_blocks(queries, stored):
-            got[start : start + block.shape[0]] = block
-            starts.append(start)
+        store = neighbors.KeySortedPoints(stored)
+        for rows, block, _ in neighbors._distance_blocks(queries, store):
+            got[rows] = block
+            starts.append(rows.start)
         assert starts == [0, 4, 8]  # blocks of 4 rows, the last one partial
         assert got.tobytes() == want.tobytes()
         for m in (1, 2, 23):
@@ -159,14 +166,15 @@ def test_distances_equal_numpy_sum_bitwise(monkeypatch, d):
 
 def test_stored_points_are_read_without_a_copy(tmp_path, monkeypatch):
     # the kernel reads coordinate rows of the points' transpose; every caller
-    # that keeps points stores them column-major so that is a view, the
-    # estimator's verbatim points that neighborhood scans included
-    seen = []
+    # that keeps points stores them column-major so that is a view: the kNN
+    # regressor's and the estimator's stores, the estimator's verbatim points
+    # that neighborhood scans, and each CV fold's kept points
+    stores = []
     inner = neighbors._distance_blocks
 
-    def recorded(queries, points):
-        seen.append(points)
-        return inner(queries, points)
+    def recorded(queries, store, k=0):
+        stores.append(store)
+        return inner(queries, store, k)
 
     monkeypatch.setattr(neighbors, "_distance_blocks", recorded)
     rng = np.random.default_rng(0)
@@ -175,14 +183,116 @@ def test_stored_points_are_read_without_a_copy(tmp_path, monkeypatch):
     cfg = CalibrationConfig(RegressorSpec("knn", knn_k=3), kernel=KernelConfig(0.9))
     save_model(calibrate(data, cfg), tmp_path / "model.json")
     model = load_model(tmp_path / "model.json")
-    seen.clear()
+    stores.clear()
     model.predict_quantile_batch(features[:5], [0.5])
     model.quantile_estimator.neighborhood(np.zeros(3))
     bandwidth_cv_scores(features, data.target, BandwidthSearch(folds=3))
-    assert len(seen) == 3 + 3  # kNN, the estimator twice, one pass per CV fold
-    assert seen[0] is model.regressor.train_features
-    assert seen[1] is model.quantile_estimator._points_by_value
-    assert seen[2] is model.quantile_estimator.points
-    for points in seen:
-        assert points.flags.f_contiguous
-        assert np.shares_memory(np.ascontiguousarray(points.T), points)
+    # kNN, the estimator's batch, its neighborhood, one pass per CV fold
+    assert len(stores) == 3 + 3
+    assert stores[0] is model.regressor._store
+    assert stores[0].points is model.regressor.train_features
+    assert stores[1] is model.quantile_estimator._store
+    assert stores[2].points is model.quantile_estimator.points
+    for store in stores:
+        assert store.points.flags.f_contiguous
+        assert np.shares_memory(store.cols, store.points)
+
+
+def wide_key_sample(n, d, seed):
+    """Coordinate 0 spread over [0, 15], the others over [0, 1], as in
+    ``sine_hetero`` with nuisance columns: a slab holds a few percent."""
+    rng = np.random.default_rng(seed)
+    return np.column_stack([rng.uniform(0.0, 15.0, n), rng.uniform(0.0, 1.0, (n, d - 1))])
+
+
+def scanned_widths(mp):
+    """Record the number of stored points each distance block is summed over."""
+    widths = []
+    inner = neighbors._square_sum
+
+    def recorded(queries, cols, lo, hi):
+        if cols.ndim == 2 and (lo, hi) == (0, cols.shape[0]):  # not a kNN bound window
+            widths.append(cols.shape[1])
+        return inner(queries, cols, lo, hi)
+
+    mp.setattr(neighbors, "_square_sum", recorded)
+    return widths
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_residual_pass_scans_slabs_and_matches_the_full_scan(monkeypatch, d):
+    # calibrate's kNN residual pass reads key slabs; its residuals, and so
+    # the saved model, are those of the full scan bit for bit
+    rng = np.random.default_rng(d)
+    features = wide_key_sample(3000, d, d)
+    data = Dataset(features, np.sin(features[:, 0]) + rng.normal(size=3000), tuple("abcde"[:d]))
+    cfg = CalibrationConfig(RegressorSpec("knn", knn_k=20), kernel=KernelConfig(0.3), seed=d)
+    got = {}
+    for scan in ("slab", "full"):
+        with monkeypatch.context() as mp:
+            if scan == "full":
+                mp.setattr(neighbors, "_FULL_SCAN_SHARE", SCANS["full"])
+            widths = scanned_widths(mp)
+            model = calibrate(data, cfg)
+        n = model.regressor.train_features.shape[0]
+        if scan == "slab":  # several blocks, each over fewer than n points
+            assert len(widths) >= 2 and max(widths) < n
+        else:
+            assert set(widths) == {n}
+        got[scan] = model.quantile_estimator.values
+    assert got["slab"].tobytes() == got["full"].tobytes()
+
+
+def edge_points():
+    """Integer keys 0..20 stored from 20 down to 0, so that a lower index is
+    a higher key, and a second coordinate of 0: distances along the lattice
+    are exact, so ties at the slab's edge are exact too."""
+    keys = np.arange(20.0, -1.0, -1.0)
+    return np.column_stack([keys, np.zeros_like(keys)])
+
+
+EDGE_QUERIES = np.array(
+    [[10.0, 0.0], [10.5, 0.0], [0.0, 0.0], [20.0, 0.0], [3.25, 0.0], [7.0, 0.5]]
+)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 11, 20, 21])
+def test_knn_ties_on_the_slab_edge(monkeypatch, k):
+    # one query per block, so each block's slab is its query's own: a slab
+    # that loses the point at either end loses a tied k-th neighbor; k = 21
+    # is every point, and from k = 11 on 2k exceeds n
+    points = edge_points()
+    n = points.shape[0]
+    store = neighbors.KeySortedPoints(np.asfortranarray(points))
+    monkeypatch.setattr(neighbors, "_BLOCK_BUDGET", points.size)
+    widths = scanned_widths(monkeypatch)
+    got = neighbors.k_nearest(EDGE_QUERIES, store, k, slabs=True)
+    for i, q in enumerate(EDGE_QUERIES):
+        assert got[i].tolist() == np.argsort(distance_row(points, q), kind="stable")[:k].tolist()
+    if 2 * k < n:
+        assert min(widths) < n  # a slab, not the whole store
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(finite, min_size=1, max_size=30),
+    finite,
+    st.integers(0, 29),
+    st.sampled_from([-1, 0, 1]),
+)
+def test_slab_ends_hold_every_key_within_the_kernel_gap(keys, center, edge, step):
+    # keys of every magnitude, subnormal to huge; the half-width is one key's
+    # own gap, or a neighbouring float, so keys sit exactly on the slab's edge
+    keys = np.sort(np.array(keys))
+    with np.errstate(over="ignore"):
+        gaps = np.sqrt(np.square(center - keys))
+        half = gaps[edge % keys.size]
+        if step and np.isfinite(half):
+            half = max(np.nextafter(half, step * math.inf), 0.0)
+        lo, hi = neighbors._slab_ends(keys, np.array([center]), np.array([half]))
+    inside = np.flatnonzero(gaps <= half)
+    if inside.size:
+        assert lo[0] <= inside[0] and inside[-1] < hi[0]

@@ -354,9 +354,9 @@ def test_cv_makes_one_distance_pass_per_fold(monkeypatch):
     passes = []
     inner = neighbors._distance_blocks
 
-    def counted(queries, points):
+    def counted(queries, store, k=0):
         passes.append(queries.shape[0])
-        return inner(queries, points)
+        return inner(queries, store, k)
 
     def no_estimator(self):
         raise AssertionError("bandwidth CV constructed a QuantileEstimator")

@@ -12,6 +12,12 @@ dim 2, gaussian dim 10 (the identity)} x {--bandwidth 0.3, auto} x
 --group-bins 3 --output-curve`` on a 200-row test CSV. Then the three demos
 at ``--n 600``, ``scaled_uniform --n 500 --bandwidth 0.2 --tau 0.7``, and
 ``covshift`` with OLS ``auto`` and with kNN plus a correlation projection.
+Last come three kNN models (k = 20) on a 2 400-row ``sine_hetero`` CSV with
+three nuisance columns, where x spans [0, 15] and the others [0, 1], so
+calibrate's residual pass reads key slabs rather than every stored point: no
+projection at ``--bandwidth 0.3``, and ``--projection correlation
+--projection-dim 1`` at 0.05 and ``auto``, each with ``predict --taus
+0.05,0.5,0.95`` on a 2 000-row CSV and ``evaluate --output-curve``.
 
 OUTDIR receives every file the commands write, ``commands.log`` with each
 command, its printed output and its exit code, and a sorted ``SHA256SUMS``.
@@ -34,6 +40,7 @@ import numpy as np
 import qcalib
 from qcalib.cli import main
 from qcalib.data import Dataset, save_csv
+from qcalib.synthetic import GeneratorSpec, generate
 
 REGRESSORS = {
     "ols": ["--regressor", "ols"],
@@ -48,6 +55,13 @@ PROJECTIONS = {
 }
 BANDWIDTHS = ("0.3", "auto")
 MIN_NEIGHBORS = ("1", "3")
+KNN_20 = ["--regressor", "knn", "--knn-k", "20"]
+ONE_COLUMN = ["--projection", "correlation", "--projection-dim", "1"]
+WIDE_MODELS = {
+    "knn-none-h0.3": [*KNN_20, "--bandwidth", "0.3"],
+    "knn-correlation1-h0.05": [*KNN_20, *ONE_COLUMN, "--bandwidth", "0.05"],
+    "knn-correlation1-hauto": [*KNN_20, *ONE_COLUMN, "--bandwidth", "auto"],
+}
 
 
 def _dataset(n: int, seed: int) -> Dataset:
@@ -112,6 +126,22 @@ def run_matrix(log: list[str]) -> None:
         "--regressor", "knn", "--knn-k", "7", "--projection", "correlation",
         "--projection-dim", "2", "--seed", "6",
     )
+    for name, n, seed in (("wide-train.csv", 2400, 7), ("wide-test.csv", 2000, 8)):
+        save_csv(generate(GeneratorSpec("sine_hetero", n, seed=seed, nuisance_dims=3)), name)
+    for name, flags in WIDE_MODELS.items():
+        _run(
+            log, "calibrate", "--input", "wide-train.csv", "--target", "y",
+            "--output", f"wide-{name}.model.json", "--seed", "9", *flags,
+        )
+        _run(
+            log, "predict", "--model", f"wide-{name}.model.json", "--input", "wide-test.csv",
+            "--output", f"wide-{name}.taus.csv", "--taus", "0.05,0.5,0.95",
+        )
+        _run(
+            log, "evaluate", "--model", f"wide-{name}.model.json", "--input", "wide-test.csv",
+            "--output-json", f"wide-{name}.report.json", "--output-curve", f"wide-{name}.curve.csv",
+            "--group-column", "x", "--group-bins", "5", "--seed", "4",
+        )
 
 
 def write_sums(root: Path) -> int:
