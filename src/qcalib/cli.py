@@ -305,11 +305,11 @@ def _cmd_demo(args, written: list) -> None:
         seed=args.seed,
     )
     model = calibrate(train, cfg)
-    outdir = Path(args.outdir)
-    fields, header, rows, lines = run(args, model, outdir / csv_name)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(outdir / csv_name, header, rows)
-    written.append(outdir / csv_name)
+    csv_path, report_path = _outdir_files(args)
+    fields, header, rows, lines = run(args, model, csv_path)
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
+    _write_csv(csv_path, header, rows)
+    written.append(csv_path)
     report = {
         "demo": args.name,
         "n": args.n,
@@ -317,8 +317,8 @@ def _cmd_demo(args, written: list) -> None:
         "bandwidth": model.config["kernel"]["bandwidth"],
         **fields,
     }
-    _write_json(outdir / f"{args.name}_report.json", report)
-    written.append(outdir / f"{args.name}_report.json")
+    _write_json(report_path, report)
+    written.append(report_path)
     print("\n".join(lines))
 
 
@@ -343,8 +343,8 @@ def _cmd_covshift(args, written: list) -> None:
         preds = model.predict_quantile_batch(shifted.features, grid)
         reports[name] = evaluate_predictions(preds, shifted.target, grid, agce_cfg)
 
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    report_path, *curve_paths = _outdir_files(args)
+    report_path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "covshift": {
             "input": str(args.input),
@@ -358,15 +358,15 @@ def _cmd_covshift(args, written: list) -> None:
         },
         "models": {name: report_to_dict(rep) for name, rep in reports.items()},
     }
-    _write_json(outdir / "covshift_report.json", payload)
-    written.append(outdir / "covshift_report.json")
-    for name, rep in reports.items():
-        write_tau_curve_csv(rep, outdir / f"covshift_{name}_curve.csv")
-        written.append(outdir / f"covshift_{name}_curve.csv")
+    _write_json(report_path, payload)
+    written.append(report_path)
+    for rep, path in zip(reports.values(), curve_paths):  # local, then marginal
+        write_tau_curve_csv(rep, path)
+        written.append(path)
     print(f"train rows: {train.n}, shifted rows: {shifted.n}")
     for name, rep in reports.items():
         print(f"{name} mace: {rep.mace:.6f}")
-    print(f"report: {outdir / 'covshift_report.json'}")
+    print(f"report: {report_path}")
 
 
 def _add_calibration_flags(sub: argparse.ArgumentParser) -> None:
@@ -512,19 +512,34 @@ def _same_file(a: str, b: str) -> bool:
         return Path(a).resolve() == Path(b).resolve()
 
 
+def _outdir_files(args) -> list[Path]:
+    """The files a demo or covshift run writes under ``--outdir``, in the
+    order it writes them; none for the other commands."""
+    if args.command == "demo":
+        outdir = Path(args.outdir)
+        return [outdir / _DEMOS[args.name][3], outdir / f"{args.name}_report.json"]
+    if args.command == "covshift":
+        outdir = Path(args.outdir)
+        curves = [outdir / f"covshift_{name}_curve.csv" for name in ("local", "marginal")]
+        return [outdir / "covshift_report.json", *curves]
+    return []
+
+
 def _check_file_flags(args) -> None:
     """Refuse, before any work, an output path that names an input file or
     another output; the flags are compared as resolved paths."""
-    files = [
-        (dest, getattr(args, dest, None))
-        for dest in ("config", "model", "input", "output", "output_json", "output_curve")
-    ]
-    files = [(dest, path) for dest, path in files if path is not None]
-    for i, (first, a) in enumerate(files):
-        for second, b in files[i + 1 :]:
-            if second.startswith("output") and _same_file(a, b):
-                flags = " and ".join("--" + dest.replace("_", "-") for dest in (first, second))
-                raise ValueError(f"{flags} name the same file {b}")
+
+    def named(dests):
+        paths = [("--" + dest.replace("_", "-"), getattr(args, dest, None)) for dest in dests]
+        return [(flag, path) for flag, path in paths if path is not None]
+
+    inputs = named(("config", "model", "input"))
+    outputs = named(("output", "output_json", "output_curve"))
+    outputs += [("--outdir", path) for path in _outdir_files(args)]
+    for i, (second, b) in enumerate(outputs):
+        for first, a in inputs + outputs[:i]:
+            if _same_file(a, b):
+                raise ValueError(f"{first} and {second} name the same file {b}")
 
 
 def main(argv=None) -> int:

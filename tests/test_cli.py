@@ -943,6 +943,16 @@ FILE_CLASHES = [
         "--model and --output-json",
         id="evaluate-over-its-model",
     ),
+    pytest.param(
+        ["covshift", "--input", "{curve}", "--target", "y", "--outdir", "{dir}"],
+        "--input and --outdir",
+        id="covshift-over-its-input",
+    ),
+    pytest.param(
+        ["demo", "sine", "--config", "{report}", "--outdir", "{dir}"],
+        "--config and --outdir",
+        id="demo-over-its-config",
+    ),
 ]
 
 
@@ -954,9 +964,14 @@ def test_output_naming_an_input_or_another_output_exits_2(
     (tmp_path / "sub").mkdir()
     (tmp_path / "cfg.txt").write_text("bandwidth = 0.8\n")
     (tmp_path / "link.csv").symlink_to(test_csv)
+    # an input named as a file that demo or covshift writes under --outdir
+    (tmp_path / "covshift_local_curve.csv").write_bytes(train_csv.read_bytes())
+    (tmp_path / "sine_report.json").write_text("n = 50\n")
     paths = {
         "train": train_csv, "test": test_csv, "model": model_path, "sub": tmp_path / "sub",
         "cfg": tmp_path / "cfg.txt", "link": tmp_path / "link.csv", "new": tmp_path / "same.out",
+        "dir": tmp_path, "curve": tmp_path / "covshift_local_curve.csv",
+        "report": tmp_path / "sine_report.json",
     }
     before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
     capsys.readouterr()
