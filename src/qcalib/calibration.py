@@ -211,7 +211,9 @@ def _quantile_columns(d: int, external_index: int | None) -> list[int]:
 def _coordinates(xs, external_index, standardizer, projection) -> np.ndarray:
     """Full-width feature rows in quantile-estimator coordinates: standardized
     quantile columns, then projected."""
-    z = standardizer.transform(xs[:, _quantile_columns(xs.shape[1], external_index)])
+    if external_index is not None:
+        xs = xs[:, _quantile_columns(xs.shape[1], external_index)]
+    z = standardizer.transform(xs)
     return z if projection is None else apply_projection(projection, z)
 
 

@@ -326,6 +326,9 @@ class Standardizer:
             raise DatasetError("stddevs must be nonnegative")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "stddevs", stds)
+        # what transform reads on every query: the divisors and the constant columns
+        object.__setattr__(self, "_scale", np.where(stds > 0, stds, 1.0))
+        object.__setattr__(self, "_constant", (stds == 0).nonzero()[0])
 
     @classmethod
     def from_features(cls, xs: np.ndarray) -> "Standardizer":
@@ -339,9 +342,9 @@ class Standardizer:
     def transform(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         self._check_width(xs)
-        scale = np.where(self.stddevs > 0, self.stddevs, 1.0)
-        out = (xs - self.means) / scale
-        out[..., self.stddevs == 0] = 0.0
+        out = (xs - self.means) / self._scale
+        if self._constant.size:
+            out[..., self._constant] = 0.0
         return out
 
     def inverse(self, xs: np.ndarray) -> np.ndarray:

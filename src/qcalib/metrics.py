@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,7 +64,14 @@ def _interval_levels(alpha: float) -> TauGrid:
     """The levels alpha/2 and 1 - alpha/2 of a central (1 - alpha) interval."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    return TauGrid([alpha / 2.0, 1.0 - alpha / 2.0])
+    return _central_grid(alpha / 2.0)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _central_grid(half: float) -> TauGrid:
+    # a grid is immutable, and a service asks for the same interval on every
+    # call; typed, because a float32 half takes 1 - half in float32
+    return TauGrid([half, 1.0 - half])
 
 
 def default_tau_grid() -> TauGrid:

@@ -230,8 +230,9 @@ def _k_smallest(dists: np.ndarray, k: int) -> np.ndarray:
     kth = dists[rows, part[:, k - 1 :]]
     # where more than k entries lie at or below the k-th value, argpartition
     # keeps an arbitrary subset of the ties; such rows (and rows of NaN
-    # distances, where none do) take the stable sort's choice instead
-    redo = np.flatnonzero(np.count_nonzero(dists <= kth, axis=1) != k)
+    # distances, where none do) take the stable sort's choice instead; sum
+    # and nonzero are methods, so a lone query pays no Python wrapper
+    redo = ((dists <= kth).sum(axis=1) != k).nonzero()[0]
     if redo.size:
         part[redo] = np.argsort(dists[redo], axis=1, kind="stable")[:, :k]
     near = dists[rows, part]

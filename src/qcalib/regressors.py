@@ -109,7 +109,8 @@ class FittedRegressor:
             return xs[:, self.external_index].copy()
         # equal distances resolve to the lower index, as a stable sort would
         nearest = k_nearest(xs, self._store, self.knn_k, slabs)
-        return self.train_targets[nearest].mean(axis=1)
+        # np.mean's own sum and division, without its Python wrapper
+        return self.train_targets[nearest].sum(axis=1) / self.knn_k
 
 
 def fit_regressor(spec: RegressorSpec, train: Dataset) -> FittedRegressor:

@@ -6,6 +6,7 @@ import pytest
 from qcalib.metrics import (
     AgceConfig,
     TauGrid,
+    _interval_levels,
     agce,
     check_score,
     default_tau_grid,
@@ -249,3 +250,26 @@ class TestTauGrid:
             TauGrid([0.5, 0.5])
         with pytest.raises(ValueError):
             TauGrid([0.7, 0.3])
+
+    def test_interval_levels_are_the_grid_of_their_alpha(self):
+        # the grids are cached per half-alpha and its type; each must equal a
+        # grid built afresh from the same arithmetic, in the caller's type
+        for alpha in (0.1, 0.2, np.float64(0.1), np.float32(0.1), np.array(0.3), Fraction(1, 5)):
+            for _ in range(2):
+                got = _interval_levels(alpha)
+                want = TauGrid([alpha / 2.0, 1.0 - alpha / 2.0])
+                assert got.levels.tolist() == want.levels.tolist()
+                assert not got.levels.flags.writeable
+        assert _interval_levels(np.float32(0.1)).levels[1] != _interval_levels(0.1).levels[1]
+        # an equal half of another type is not served from the cache: in
+        # float32, 1 - 2**-30 rounds to 1
+        assert _interval_levels(2.0**-29).levels[1] < 1.0
+        with pytest.raises(ValueError, match="strictly inside"):
+            _interval_levels(np.float32(2.0**-29))
+        # 1 - 1e-300 / 2 rounds to 1, outside the open unit interval, on every call
+        for _ in range(2):
+            with pytest.raises(ValueError, match="strictly inside"):
+                _interval_levels(1e-300)
+        for alpha in (0.0, 1.0, float("nan")):
+            with pytest.raises(ValueError, match="alpha must lie"):
+                _interval_levels(alpha)
