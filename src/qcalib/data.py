@@ -62,14 +62,15 @@ def _query_rows(xs, width: int, finite: bool = True) -> np.ndarray:
     return xs
 
 
-def _frozen(value, what: str, shape: tuple, order: str = "C") -> np.ndarray:
+def _frozen(value, what: str, shape: tuple) -> np.ndarray:
     """A read-only, finite float copy of ``value`` of the given shape, or
     :class:`DatasetError` naming ``what`` and both shapes.
 
     A None in ``shape`` matches any length of at least 1. A vector and a
-    one-column matrix stand for each other.
+    one-column matrix stand for each other. The copy is C-ordered whatever
+    the input's layout, so sums over its rows round alike for every caller.
     """
-    a = np.array(value, dtype=float, order=order)
+    a = np.array(value, dtype=float, order="C")
     if a.ndim == 1 and len(shape) == 2:
         a = a.reshape(-1, 1)
     elif a.ndim == 2 and a.shape[1] == 1 and len(shape) == 1:
@@ -87,9 +88,9 @@ def _frozen(value, what: str, shape: tuple, order: str = "C") -> np.ndarray:
 
 
 def _sample(points, values) -> tuple[np.ndarray, np.ndarray]:
-    """n >= 1 points as a column-major (n, d) matrix (a 1-d input is n points
-    of one coordinate) and their n values, each :func:`_frozen`."""
-    points = _frozen(points, "points", (None, None), order="F")
+    """n >= 1 points as an (n, d) matrix (a 1-d input is n points of one
+    coordinate) and their n values, each :func:`_frozen`."""
+    points = _frozen(points, "points", (None, None))
     return points, _frozen(values, "values", points.shape[:1])
 
 
@@ -146,9 +147,9 @@ def read_numeric_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
 
     The file is UTF-8, with or without a byte order mark. Raises
     :class:`DatasetError` naming the file on bytes that are not UTF-8, a
-    blank header cell, a non-numeric or non-finite cell (reported with its
-    line and column), a ragged row, or a file with no data rows; blank lines
-    are skipped.
+    blank or repeated header cell, a non-numeric or non-finite cell
+    (reported with its line and column), a ragged row, or a file with no
+    data rows; blank lines are skipped.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -163,9 +164,12 @@ def _numeric_rows(path, reader) -> tuple[tuple[str, ...], list[list[float]]]:
     if header is None:
         raise DatasetError(f"{path}: empty file")
     header = [h.strip() for h in header]
+    first: dict[str, int] = {}
     for column, name in enumerate(header, start=1):
         if not name:
             raise DatasetError(f"{path}: header column {column} is blank")
+        if first.setdefault(name, column) != column:
+            raise DatasetError(f"{path}: header column {column} repeats {name!r}")
     rows: list[list[float]] = []
     for line_no, row in enumerate(reader, start=2):
         if not row or all(cell.strip() == "" for cell in row):

@@ -8,18 +8,21 @@ Queries go in row blocks of at most ``_BLOCK_BUDGET`` query-coordinate-point
 entries (rows × n × d), a size that keeps a block's work in cache. A block
 never holds a ``(rows, n, d)`` difference array: each coordinate's squared
 differences are added into ``(rows, n)`` accumulators, read from the points'
-coordinate rows. Points stored column-major make those rows a view, so the
-estimator, the kNN regressor and cross-validation keep theirs that way. The
-additions follow numpy's own pairwise order for a sum over a contiguous last
-axis, so every distance equals ``sqrt(((q - p) ** 2).sum(axis=-1))`` bit for
-bit; ``tests/test_neighbors.py`` checks this, so a numpy that changes that
-order fails there. Each block's arrays are dropped before the next is built,
+coordinate rows, which the store below holds. The additions follow numpy's
+own pairwise order for a sum over a contiguous last axis, so every distance
+equals ``sqrt(((q - p) ** 2).sum(axis=-1))`` bit for bit;
+``tests/test_neighbors.py`` checks this, so a numpy that changes that order
+fails there. Each block's arrays are dropped before the next is built,
 and per-pair distances do not depend on the block size.
 
-The store. A :class:`KeySortedPoints` holds stored points column-major. Its
-key is the coordinate of largest range; the points' stable order along it and
-their sorted key values are built by the first scan that takes slabs, and
-never serialized.
+The store. A :class:`KeySortedPoints` is the one layout of a sample's points
+that the kernel reads: it copies any (n, d) matrix, once, into its own
+contiguous (d, n) coordinate rows, so callers keep their points in any order
+and layout. The kNN regressor builds one over its training rows, the
+quantile estimator one over its points in value order, and each CV fold one
+over its kept points. Its key is the coordinate of largest range; the points'
+stable order along it and their sorted key values are built by the first
+scan that takes slabs. Nothing in a store is serialized.
 
 Slabs. One coordinate's gap ``sqrt((q_a - p_a) ** 2)``, rounded as the kernel
 rounds it, never exceeds the kernel's distance: each rounded addition of
@@ -105,14 +108,13 @@ def _square_sum(queries: np.ndarray, cols: np.ndarray, lo: int, hi: int) -> np.n
 
 
 class KeySortedPoints:
-    """Stored points for neighbor queries: ``points`` (n, d) column-major and
-    ``cols`` their (d, n) transpose, a view. The key coordinate and the
-    points' stable order along it are built when a scan first takes slabs,
-    so a model that answers one query at a time never sorts."""
+    """Stored points for neighbor queries: ``cols``, a C-ordered (d, n) copy
+    of any (n, d) matrix, so each coordinate row is contiguous. The key
+    coordinate and the points' stable order along it are built when a scan
+    first takes slabs, so a model that answers one query at a time never sorts."""
 
     def __init__(self, points: np.ndarray) -> None:
-        self.points = points
-        self.cols = np.ascontiguousarray(points.T)
+        self.cols = np.array(points.T, order="C")
 
     @cached_property
     def key(self) -> int:
@@ -135,7 +137,7 @@ def _kth_bounds(
     """Per query, the k-th smallest distance to a window of its 2k nearest
     stored points along the key (all n when fewer): the k-th smallest
     distance to any k points is at least the k-th nearest distance."""
-    n, d = store.points.shape
+    d, n = store.cols.shape
     width = min(2 * k, n)
     # the window's first position, its key position less k, kept in [0, n - width]
     first = store.keys[k : n - width + k].searchsorted(keys)
@@ -181,7 +183,7 @@ def _distance_blocks(
     ``members`` (ascending indices, None for all of them). With ``k`` >= 1
     the members include every point within each row's k-th nearest
     distance, and a block may read only its slabs; see the module docstring."""
-    n, d = store.points.shape
+    d, n = store.cols.shape
     rows = max(1, _BLOCK_BUDGET // max(1, n * d))
     starts = range(0, queries.shape[0], rows)
     order = None

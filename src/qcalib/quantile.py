@@ -10,14 +10,18 @@ the smallest minimizer of the neighborhood's average pinball loss, which is
 what makes the closed form valid.
 
 Distance blocks from :mod:`qcalib.neighbors` run over the points in value
-order (sorted once, at construction); one step turns a block into quantiles:
-balls, then ranks, then values. Single-query methods are batches of one.
+order, sorted once at construction into the estimator's one store; one step
+turns a block into quantiles: balls, then ranks, then values. Single-query
+methods are batches of one, and a neighborhood is a ball of that same store,
+mapped back to file order.
 
 Bandwidth selection is K-fold cross-validation of the pinball loss over a
 candidate grid drawn from the quantiles of pairwise inter-point distances,
-computed by the kernel's pair pass. Each fold makes one distance pass from
-its held-out rows to its kept points, and every candidate takes its
-quantiles from the same blocks, through the estimator's own step.
+computed by the kernel's pair pass. The sample is sorted by value once; each
+fold keeps its points in that order (a stable sort's subset is the stable
+sort of the subset), builds one store of them and makes one distance pass
+from its held-out rows, and every candidate takes its quantiles from the
+same blocks, through the estimator's own step.
 """
 
 from __future__ import annotations
@@ -64,13 +68,6 @@ def _ball_quantiles(
     return values[members[_left_quantile_ranks(counts, levels) + first[:, None]]]
 
 
-def _by_value(points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Points and values in stable value order, the points column-major so the
-    kernel reads their coordinate rows without a copy."""
-    order = np.argsort(values, kind="stable")
-    return np.asfortranarray(points[order]), values[order]
-
-
 @dataclass(frozen=True)
 class KernelConfig:
     """Hard-threshold distance kernel: weight 1 within ``bandwidth``, else 0.
@@ -104,9 +101,9 @@ class LocalNeighborhood:
 class QuantileEstimator:
     """Stored calibration sample plus its kernel; see the module docstring.
 
-    ``points`` and ``values`` stay verbatim; a private copy of both in stable
-    value order, never serialized, is what the kernel scans for quantiles.
-    Both keep their points column-major.
+    ``points`` and ``values`` stay verbatim. A private store of the points
+    in stable value order, the values in that order and the permutation back
+    to file order, none of them serialized, are what the kernel scans.
     """
 
     points: np.ndarray  # (n, d)
@@ -117,9 +114,9 @@ class QuantileEstimator:
         points, values = _sample(self.points, self.values)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "values", values)
-        points_by_value, values_by_value = _by_value(points, values)
-        object.__setattr__(self, "_store", neighbors.KeySortedPoints(points_by_value))
-        object.__setattr__(self, "_values_by_value", values_by_value)
+        object.__setattr__(self, "_order", np.argsort(values, kind="stable"))
+        object.__setattr__(self, "_store", neighbors.KeySortedPoints(points[self._order]))
+        object.__setattr__(self, "_values_by_value", values[self._order])
 
     @classmethod
     def fit(cls, points, values, kernel: KernelConfig) -> "QuantileEstimator":
@@ -143,9 +140,9 @@ class QuantileEstimator:
         """
         xs = _query_rows(np.asarray(x, dtype=float).reshape(1, -1), self.dim)
         kernel = self.kernel
-        _, dists, _ = next(neighbors._distance_blocks(xs, neighbors.KeySortedPoints(self.points)))
+        _, dists, _ = next(neighbors._distance_blocks(xs, self._store))
         _, radii, members = neighbors.block_balls(dists, kernel.bandwidth, kernel.min_neighbors)
-        return LocalNeighborhood(members, float(radii[0]))
+        return LocalNeighborhood(np.sort(self._order[members]), float(radii[0]))
 
     def predict_quantile(self, x, tau: float) -> float:
         """Left tau-quantile of the values in x's neighborhood."""
@@ -252,14 +249,15 @@ def bandwidth_cv_scores(points, values, search: BandwidthSearch) -> tuple[np.nda
     levels = (search.tau_grid or default_tau_grid()).levels
     candidates = _resolve_candidates(points, search)
     kernels = [KernelConfig(float(h)) for h in candidates]
+    order = np.argsort(values, kind="stable")
+    points_by_value, values_by_value = points[order], values[order]
 
     fold_losses = np.empty((candidates.shape[0], search.folds))
     for fi, held_out in enumerate(_cv_folds(n, search.folds, search.seed)):
-        mask = np.ones(n, dtype=bool)
-        mask[held_out] = False
-        kept_points, kept_values = _by_value(points[mask], values[mask])
+        keep = np.isin(order, held_out, invert=True)  # the kept points, in value order
+        kept_values = values_by_value[keep]
         preds = np.empty((candidates.shape[0], held_out.shape[0], levels.shape[0]))
-        kept = neighbors.KeySortedPoints(kept_points)
+        kept = neighbors.KeySortedPoints(points_by_value[keep])
         for rows, dists, _ in neighbors._distance_blocks(points[held_out], kept):
             for ci, kernel in enumerate(kernels):
                 preds[ci, rows] = _ball_quantiles(dists, kept_values, kernel, levels)

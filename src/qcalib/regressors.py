@@ -74,8 +74,7 @@ class FittedRegressor:
             coefficients = _frozen(self.coefficients, "coefficients", (d + 1,))
             object.__setattr__(self, "coefficients", coefficients)
         elif self.kind == "knn":
-            # column-major, so the distance kernel reads each coordinate without a copy
-            features = _frozen(self.train_features, "train_features", (None, d), order="F")
+            features = _frozen(self.train_features, "train_features", (None, d))
             n = features.shape[0]
             k = None if self.knn_k is None else _index(self.knn_k, "knn_k")
             if k is None or not 1 <= k <= n:

@@ -1016,6 +1016,30 @@ def test_blank_header_cell_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, header, column, name",
+    [
+        ("calibrate", "x,y,y", 3, "y"),  # a copy of the target would become a feature
+        ("calibrate", "x,x,y", 2, "x"),
+        ("predict", "x,x", 2, "x"),  # the model's feature x would read one of them
+    ],
+)
+def test_repeated_header_name_exits_2(tmp_path, train_csv, capsys, command, header, column, name):
+    model_path = run_calibrate(tmp_path, train_csv)
+    path = tmp_path / "repeat.csv"
+    width = len(header.split(","))
+    path.write_text(header + "\n" + "".join(f"{','.join([str(i)] * width)}\n" for i in range(9)))
+    out = tmp_path / "out.file"
+    if command == "calibrate":
+        argv = ["calibrate", "--input", str(path), "--target", "y", "--output", str(out)]
+    else:
+        argv = ["predict", "--model", str(model_path), "--input", str(path), "--output", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: header column {column} repeats '{name}'\n")
+    assert not out.exists()
+
+
 def test_module_entry_point(tmp_path):
     csv_path = tmp_path / "train.csv"
     save_csv(generate(GeneratorSpec("uniform_triangle", 60, seed=0)), csv_path)

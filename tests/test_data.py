@@ -138,6 +138,17 @@ class TestCsv:
         with pytest.raises(DatasetError, match=f"^{path}: header column {column} is blank$"):
             read_numeric_csv(path)
 
+    @pytest.mark.parametrize("header, column, name", [("x,y,y", 3, "y"), ("x,x", 2, "x")])
+    def test_repeated_header_name_named_by_column(self, tmp_path, header, column, name):
+        # a repeat would silently pick one of the columns for the target or a feature
+        path = tmp_path / "data.csv"
+        path.write_text(f"{header}\n" + ",".join("1" * len(header.split(","))) + "\n")
+        message = f"^{path}: header column {column} repeats '{name}'$"
+        with pytest.raises(DatasetError, match=message):
+            read_numeric_csv(path)
+        with pytest.raises(DatasetError, match=message):
+            load_csv(path, "y")
+
     def test_undecodable_bytes_name_the_file(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_bytes(b"x,y\n1,2\n3,caf\xe9\n")
@@ -269,6 +280,19 @@ class TestStandardizer:
     def test_rejects_negative_stddev(self):
         with pytest.raises(DatasetError):
             Standardizer(means=[0.0], stddevs=[-1.0])
+
+    def test_memory_layout_of_the_input_changes_no_bit(self):
+        # a Fortran-ordered input, such as a column selection, is stored
+        # C-ordered, so column means and spreads are summed in the same order
+        xs = np.random.default_rng(3).normal(size=(1000, 3)) * 1e3
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            a = layout(xs)
+            std = Standardizer.from_features(a)
+            assert std.means.tobytes() == xs.mean(axis=0).tobytes()
+            assert std.stddevs.tobytes() == xs.std(axis=0).tobytes()
+            data = Dataset(a, xs[:, 0], ("a", "b", "c"))
+            assert data.features.flags.c_contiguous
+            assert data.features.tobytes() == xs.tobytes()
 
     def test_from_features_rejects_empty_before_the_mean(self):
         # the mean of no rows would warn "Mean of empty slice" and return NaN

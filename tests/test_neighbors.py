@@ -164,38 +164,51 @@ def test_distances_equal_numpy_sum_bitwise(monkeypatch, d):
         assert pair_blocks[-6:] == [4, 4, 4, 4, 4, 3]
 
 
-def test_stored_points_are_read_without_a_copy(tmp_path, monkeypatch):
-    # the kernel reads coordinate rows of the points' transpose; every caller
-    # that keeps points stores them column-major so that is a view: the kNN
-    # regressor's and the estimator's stores, the estimator's verbatim points
-    # that neighborhood scans, and each CV fold's kept points
-    stores = []
-    inner = neighbors._distance_blocks
+def test_each_sample_builds_one_store(tmp_path, monkeypatch):
+    # a KeySortedPoints is the one layout the kernel reads: the kNN regressor
+    # and the estimator build theirs at construction, each CV fold builds one,
+    # and queries and neighborhoods build none, reading the stores they have
+    built, scanned = [], []
+    init, scan = neighbors.KeySortedPoints.__init__, neighbors._distance_blocks
 
-    def recorded(queries, store, k=0):
-        stores.append(store)
-        return inner(queries, store, k)
+    def recorded_init(store, points):
+        built.append(store)
+        init(store, points)
 
-    monkeypatch.setattr(neighbors, "_distance_blocks", recorded)
+    def recorded_scan(queries, store, k=0):
+        scanned.append(store)
+        return scan(queries, store, k)
+
+    monkeypatch.setattr(neighbors.KeySortedPoints, "__init__", recorded_init)
+    monkeypatch.setattr(neighbors, "_distance_blocks", recorded_scan)
     rng = np.random.default_rng(0)
     features = rng.normal(size=(60, 3))
     data = Dataset(features, features.sum(axis=1) + rng.normal(size=60), ("a", "b", "c"))
     cfg = CalibrationConfig(RegressorSpec("knn", knn_k=3), kernel=KernelConfig(0.9))
     save_model(calibrate(data, cfg), tmp_path / "model.json")
+    built.clear()
     model = load_model(tmp_path / "model.json")
-    stores.clear()
+    regressor, estimator = model.regressor, model.quantile_estimator
+    assert built == [regressor._store, estimator._store]
+    built.clear()
+    scanned.clear()
     model.predict_quantile_batch(features[:5], [0.5])
-    model.quantile_estimator.neighborhood(np.zeros(3))
+    estimator.neighborhood(np.zeros(3))
+    assert built == []
+    assert scanned == [regressor._store, estimator._store, estimator._store]
+    scanned.clear()
     bandwidth_cv_scores(features, data.target, BandwidthSearch(folds=3))
-    # kNN, the estimator's batch, its neighborhood, one pass per CV fold
-    assert len(stores) == 3 + 3
-    assert stores[0] is model.regressor._store
-    assert stores[0].points is model.regressor.train_features
-    assert stores[1] is model.quantile_estimator._store
-    assert stores[2].points is model.quantile_estimator.points
-    for store in stores:
-        assert store.points.flags.f_contiguous
-        assert np.shares_memory(store.cols, store.points)
+    assert len(built) == 3
+    assert scanned == built  # one distance pass per fold, over its own store
+    # each store holds its own contiguous coordinate rows: the kNN rows in
+    # file order, the estimator's in value order
+    for store in [regressor._store, estimator._store, *built]:
+        assert store.cols.flags.c_contiguous
+    assert not np.shares_memory(regressor._store.cols, regressor.train_features)
+    assert regressor._store.cols.tobytes() == regressor.train_features.T.tobytes()
+    by_value = np.argsort(estimator.values, kind="stable")
+    assert estimator._order.tobytes() == by_value.tobytes()
+    assert estimator._store.cols.tobytes() == estimator.points[by_value].T.tobytes()
 
 
 def wide_key_sample(n, d, seed):
