@@ -127,6 +127,8 @@ def _cmd_calibrate(args, written: list) -> None:
 
 
 def _aligned_features(model, header: tuple[str, ...], table: np.ndarray, path) -> np.ndarray:
+    """The model's feature columns of ``table``, by name and in the model's
+    order; other columns are ignored."""
     missing = [n for n in model.feature_names if n not in header]
     if missing:
         raise DatasetError(
@@ -175,21 +177,23 @@ def _quantile_bins(values: np.ndarray, k: int) -> np.ndarray:
 def _cmd_evaluate(args, written: list) -> None:
     model = load_model(args.model)
     target = args.target or model.target_name
-    data = load_csv(args.input, target)
-    if set(data.feature_names) != set(model.feature_names):
-        raise DatasetError(
-            f"{args.input}: schema mismatch, file columns {sorted(data.feature_names)} "
-            f"vs model columns {sorted(model.feature_names)}"
-        )
-    cols = [data.feature_names.index(n) for n in model.feature_names]
-    xs = data.features[:, cols]
+    header, table = read_numeric_csv(args.input)
+    if target not in header:
+        raise DatasetError(f"{args.input}: no column named {target!r}")
+    if target in model.feature_names:
+        raise DatasetError(f"{args.input}: target column {target!r} is a model feature")
+    xs = _aligned_features(model, header, table, args.input)
+    ys = table[:, header.index(target)]
     grid = default_tau_grid()
     preds = model.predict_quantile_batch(xs, grid)
     grouping = None
     if args.group_column is not None:
-        if args.group_column not in data.feature_names:
-            raise DatasetError(f"no column named {args.group_column!r} to group by")
-        col = data.features[:, data.feature_names.index(args.group_column)]
+        if args.group_column == target or args.group_column not in header:
+            raise DatasetError(
+                f"{args.input}: no column named {args.group_column!r} to group by, "
+                f"other than the target"
+            )
+        col = table[:, header.index(args.group_column)]
         grouping = _quantile_bins(col, args.group_bins)
     agce_cfg = AgceConfig(
         groups=args.agce_groups,
@@ -197,7 +201,7 @@ def _cmd_evaluate(args, written: list) -> None:
         with_replacement=not args.agce_without_replacement,
         seed=args.seed,
     )
-    report = evaluate_predictions(preds, data.target, grid, agce_cfg, grouping)
+    report = evaluate_predictions(preds, ys, grid, agce_cfg, grouping)
     payload = report_to_dict(report)
     payload["model"] = str(args.model)
     payload["input"] = str(args.input)
@@ -207,7 +211,7 @@ def _cmd_evaluate(args, written: list) -> None:
     if args.output_curve is not None:
         write_tau_curve_csv(report, args.output_curve)
         written.append(args.output_curve)
-    print(f"rows: {data.n}")
+    print(f"rows: {ys.size}")
     print(f"mace: {report.mace:.6f}")
     print(f"agce: {report.agce:.6f}")
     print(f"check_score: {report.check_score:.6f}")
@@ -456,6 +460,7 @@ def _read_config_pairs(path, command: argparse.ArgumentParser) -> list[tuple[str
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     pairs: list[tuple[str, str | None]] = []
+    first: dict[str, int] = {}
     for line_no, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
@@ -466,6 +471,8 @@ def _read_config_pairs(path, command: argparse.ArgumentParser) -> list[tuple[str
         key = key.replace("-", "_")
         if key not in switches:
             raise ValueError(f"{path} line {line_no}: unknown key {key!r} for {command.prog}")
+        if first.setdefault(key, line_no) != line_no:
+            raise ValueError(f"{path} line {line_no}: key {key!r} repeats line {first[key]}")
         if not switches[key]:
             pairs.append((key, value))
         elif value.lower() in _TRUE_WORDS:
@@ -554,10 +561,15 @@ def main(argv=None) -> int:
     written: list = []  # each path is recorded once its write has returned
     try:
         _check_file_flags(args)
-        args.handler(args, written)
-    except (ValueError, KeyError, OSError) as exc:  # DatasetError is a ValueError
+        # a finite input too large for float arithmetic stops the run, named by
+        # its file, instead of warning and going on with inf or nan
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            args.handler(args, written)
+    except (ValueError, KeyError, OSError, FloatingPointError) as exc:  # DatasetError is a ValueError
         for path in written:
             Path(path).unlink(missing_ok=True)
+        if isinstance(exc, FloatingPointError) and hasattr(args, "input"):
+            exc = f"{args.input}: {exc}; its values are too large to compute with"
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -17,6 +17,7 @@ import json
 import math
 import operator
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,31 +146,64 @@ class Dataset:
 def read_numeric_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a headered all-numeric CSV as (column names, float matrix).
 
-    The file is UTF-8, with or without a byte order mark. Raises
-    :class:`DatasetError` naming the file on bytes that are not UTF-8, a
-    blank or repeated header cell, a non-numeric or non-finite cell
+    The file is UTF-8, with or without a byte order mark, with any mix of
+    LF, CRLF and CR line ends. A cell is anything Python's ``float`` reads
+    after stripping whitespace, quoted or not (``1e-3``, ``"2.5"``,
+    ``1_000``, Unicode digits); blank and whitespace-only lines are skipped.
+    Raises :class:`DatasetError` naming the file on bytes that are not
+    UTF-8, a blank or repeated header cell, a non-numeric or non-finite cell
     (reported with its line and column), a ragged row, or a file with no
-    data rows; blank lines are skipped.
+    data rows.
+
+    The body is parsed by ``np.loadtxt`` straight from the open file. A file
+    it does not read cleanly into finite rows of the header's width is read
+    again from the start, one cell at a time, which gives the same table or
+    the message naming the first fault.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            header, rows = _numeric_rows(path, csv.reader(fh))
+            header = _header(path, csv.reader(fh))
+            table = _loaded(fh, len(header))
+            if table is None:
+                fh.seek(0)
+                header, rows = _numeric_rows(path, csv.reader(fh))
+                table = np.asarray(rows, dtype=float)
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path}: {exc}") from None
-    return header, np.asarray(rows, dtype=float)
+    return header, table
 
 
-def _numeric_rows(path, reader) -> tuple[tuple[str, ...], list[list[float]]]:
+def _header(path, reader) -> tuple[str, ...]:
     header = next(reader, None)
     if header is None:
         raise DatasetError(f"{path}: empty file")
-    header = [h.strip() for h in header]
+    header = tuple(h.strip() for h in header)
     first: dict[str, int] = {}
     for column, name in enumerate(header, start=1):
         if not name:
             raise DatasetError(f"{path}: header column {column} is blank")
         if first.setdefault(name, column) != column:
             raise DatasetError(f"{path}: header column {column} repeats {name!r}")
+    return header
+
+
+def _loaded(fh, width: int) -> np.ndarray | None:
+    """The rest of ``fh`` as an (n >= 1, width) finite matrix, or None when
+    ``np.loadtxt`` raises, warns (a file with no rows) or reads any other
+    table; the per-cell loop then decides."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
+        except (ValueError, Warning):  # a decode error is a ValueError too
+            return None
+    if table.shape[0] and table.shape[1] == width and _all_finite(table):
+        return table
+    return None
+
+
+def _numeric_rows(path, reader) -> tuple[tuple[str, ...], list[list[float]]]:
+    header = _header(path, reader)
     rows: list[list[float]] = []
     for line_no, row in enumerate(reader, start=2):
         if not row or all(cell.strip() == "" for cell in row):
@@ -193,7 +227,7 @@ def _numeric_rows(path, reader) -> tuple[tuple[str, ...], list[list[float]]]:
         rows.append(parsed)
     if not rows:
         raise DatasetError(f"{path}: empty dataset")
-    return tuple(header), rows
+    return header, rows
 
 
 def load_csv(path, target_column: str) -> Dataset:
@@ -254,17 +288,23 @@ def _cell(value) -> str:
 
 
 def _write_csv(path, header, rows) -> None:
-    """Write a header and ``rows``, one at a time, as comma-separated cells.
+    """Write a header and ``rows``, one at a time, as comma-separated cells
+    with CRLF line ends.
 
-    ``rows`` is an iterable of rows or a float matrix. A float cell, numpy's
-    included, is written so that it reads back exactly; other cells as text.
+    ``rows`` is an iterable of rows or a matrix. A float cell, numpy's
+    included, is written as its ``repr``, which reads back exactly; other
+    cells as text, quoted where csv needs it. A float matrix skips the csv
+    writer: each row is its cells' ``repr``s joined by commas, which is what
+    the writer would give, since a ``repr`` holds nothing it quotes.
     """
-    if isinstance(rows, np.ndarray):
-        rows = map(np.ndarray.tolist, rows)  # Python floats format faster
     with _created(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(map(_cell, row) for row in rows)
+        if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+            # one row at a time, as Python floats, which format faster
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in map(np.ndarray.tolist, rows))
+        else:
+            writer.writerows(map(_cell, row) for row in rows)
 
 
 def save_csv(data: Dataset, path) -> None:

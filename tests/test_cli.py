@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import contextlib
 import io
 import json
@@ -233,6 +234,24 @@ class TestConfigFile:
         rc = main(["calibrate", "--config", str(cfg)])
         assert rc == 2
         assert "key=value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, key, line, first",
+        [
+            ("seed = 1\nseed = 7\n", "seed", 2, 1),
+            # dashes and underscores name one key, and a switch repeats too
+            ("no-shuffle = true\n# note\n\nno_shuffle = false\n", "no_shuffle", 4, 1),
+        ],
+    )
+    def test_repeated_key_rejected(self, tmp_path, train_csv, capsys, text, key, line, first):
+        # the last value used to win silently
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "m.json"
+        argv = ["--config", str(cfg), "--input", str(train_csv), "--target", "y"]
+        assert main(["calibrate", *argv, "--output", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {cfg} line {line}: key {key!r} repeats line {first}\n")
+        assert not out.exists()
 
 
 class TestPredict:
@@ -702,9 +721,10 @@ class TestEvaluate:
         assert sum(gc["sizes"]) == 120
 
     def test_schema_mismatch_rejected(self, tmp_path, train_csv, capsys):
+        # the model's feature x is missing; an extra column alone is no mismatch
         model_path = run_calibrate(tmp_path, train_csv)
         other = tmp_path / "other.csv"
-        other.write_text("x,z,y\n1,2,3\n4,5,6\n")
+        other.write_text("w,z,y\n1,2,3\n4,5,6\n")
         rc = main(
             [
                 "evaluate",
@@ -718,6 +738,72 @@ class TestEvaluate:
         )
         assert rc == 2
         assert "schema mismatch" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("column, message", [("y", "'y'"), ("q", "'q'")])
+    def test_group_column_is_any_column_but_the_target(
+        self, tmp_path, train_csv, test_csv, capsys, column, message
+    ):
+        model_path = run_calibrate(tmp_path, train_csv)
+        extra = tmp_path / "extra.csv"
+        _with_extra_column(test_csv, extra)
+        argv = ["evaluate", "--model", str(model_path), "--input", str(extra)]
+        report = tmp_path / "r.json"
+        assert main([*argv, "--output-json", str(report), "--group-column", "z"]) == 0
+        assert sum(json.loads(report.read_text())["group_coverage"]["sizes"]) == 120
+        report.unlink()
+        capsys.readouterr()
+        assert main([*argv, "--output-json", str(report), "--group-column", column]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {extra}: no column named {message} to group by, other than the target\n"
+        assert not report.exists()
+
+
+    def test_target_that_is_a_model_feature_rejected(self, tmp_path, train_csv, test_csv, capsys):
+        model_path = run_calibrate(tmp_path, train_csv)
+        report = tmp_path / "r.json"
+        argv = ["--model", str(model_path), "--input", str(test_csv), "--output-json", str(report)]
+        assert main(["evaluate", *argv, "--target", "x"]) == 2
+        assert capsys.readouterr().err == f"error: {test_csv}: target column 'x' is a model feature\n"
+        assert not report.exists()
+
+
+def _with_extra_column(src: Path, dest: Path) -> None:
+    """``src`` with its columns reversed and a column z of row numbers first."""
+    lines = src.read_text().splitlines()
+    cells = [line.split(",")[::-1] for line in lines]
+    dest.write_text("".join(",".join([str(i) if i else "z", *row]) + "\n" for i, row in enumerate(cells)))
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_predict_and_evaluate_select_the_model_columns_by_name(
+    tmp_path, train_csv, test_csv, capsys, command
+):
+    """Both commands read the model's features by name and ignore other
+    columns; a missing feature exits 2 naming it, and writes nothing."""
+    model_path = run_calibrate(tmp_path, train_csv)
+    extra, missing = tmp_path / "extra.csv", tmp_path / "missing.csv"
+    _with_extra_column(test_csv, extra)
+    missing.write_text("z,y\n1,2\n3,4\n")
+
+    def run(path, out):
+        argv = [command, "--model", str(model_path), "--input", str(path)]
+        flag = "--output" if command == "predict" else "--output-json"
+        capsys.readouterr()
+        return main([*argv, flag, str(out)]), out
+
+    plain, with_extra = run(test_csv, tmp_path / "plain.out"), run(extra, tmp_path / "extra.out")
+    assert plain[0] == with_extra[0] == 0
+    if command == "predict":
+        assert plain[1].read_bytes() == with_extra[1].read_bytes()
+    else:
+        reports = [json.loads(out.read_text()) for _, out in (plain, with_extra)]
+        assert [r.pop("input") for r in reports] == [str(test_csv), str(extra)]
+        assert reports[0] == reports[1]
+    rc, out = run(missing, tmp_path / "missing.out")
+    assert rc == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err == f"error: {missing}: schema mismatch, missing model feature columns ['x']\n"
 
 
 class TestDemo:
@@ -1038,6 +1124,127 @@ def test_repeated_header_name_exits_2(tmp_path, train_csv, capsys, command, head
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {path}: header column {column} repeats '{name}'\n")
     assert not out.exists()
+
+
+# text changes that leave every number and name as it was; the rest may fail
+_HARMLESS = ("bom", "crlf", "cr", "blank_lines", "quote")
+_CSV_MUTATIONS = (*_HARMLESS, "ragged", "blank_name", "repeat_name", "non_finite", "huge", "text", "bad_bytes")
+_CONFIG_MUTATIONS = ("config_bom", "unknown_key", "repeat_key", "malformed", "switch_word", "config_bad_bytes")
+# mutations no command may run past
+_REFUSED = ("ragged", "blank_name", "bad_bytes", "unknown_key", "repeat_key", "malformed", "config_bad_bytes")
+_CLEAN_CONFIG = "target = y\nbandwidth = 0.8\nseed = 1\n"
+
+
+def _mutated(data, kind: str, raw: bytes) -> bytes:
+    """``raw`` changed by one mutation of the given kind, drawn from ``data``."""
+    if kind in ("bom", "config_bom"):  # a second BOM would be part of the first name
+        return raw if raw.startswith(codecs.BOM_UTF8) else codecs.BOM_UTF8 + raw
+    if kind in ("bad_bytes", "config_bad_bytes"):
+        at = data.draw(st.integers(0, len(raw)))
+        return raw[:at] + data.draw(st.sampled_from([b"\xe9", b"\xff\xfe", b"\x80"])) + raw[at:]
+    lines = raw.decode().splitlines()
+    row = data.draw(st.integers(0, len(lines) - 1))
+    cells = lines[row].split(",")
+    column = data.draw(st.integers(0, len(cells) - 1))
+
+    def cell(value):
+        cells[column] = value
+        lines[row] = ",".join(cells)
+
+    if kind == "ragged":  # a cell more on the header leaves every data row short
+        lines[row] += ",1.5"
+    elif kind == "quote" and not cells[column].startswith('"'):
+        cell(f'"{data.draw(st.sampled_from(["", " "]))}{cells[column]}"')
+    elif kind == "blank_name":
+        lines[0] = ",".join(c if i != column else data.draw(st.sampled_from(["", "  "]))
+                            for i, c in enumerate(lines[0].split(",")))
+    elif kind == "repeat_name":
+        names = lines[0].split(",")
+        names[column] = data.draw(st.sampled_from(names))
+        lines[0] = ",".join(names)
+    elif kind in ("non_finite", "huge", "text") and row > 0:
+        values = {
+            "non_finite": ["nan", "inf", "-inf", "1e400", "-Infinity"],
+            "huge": ["1e300", "-1.7976931348623157e308", "1e200", "5e-324", "1e155"],
+            "text": ["abc", "", "1_000", "\u0663", "0x10", "#1", "1,5"],
+        }[kind]
+        cell(data.draw(st.sampled_from(values)))
+    elif kind == "blank_lines":
+        lines.insert(data.draw(st.integers(1, len(lines))), data.draw(st.sampled_from(["", "  ", "\t"])))
+    elif kind == "unknown_key":
+        lines.insert(row, data.draw(st.sampled_from(["bandwith = 0.8", "taus = 0.5", "group_bins = 3"])))
+    elif kind == "repeat_key":
+        lines.append(lines[row].replace(" ", data.draw(st.sampled_from(["", " ", "  "]))))
+    elif kind == "malformed":
+        lines.insert(row, data.draw(st.sampled_from(["just words", "=", "seed"])))
+    elif kind == "switch_word":
+        lines.append(f"no_shuffle = {data.draw(st.sampled_from(['maybe', '', 'true', 'off']))}")
+    end = {"crlf": "\r\n", "cr": "\r"}.get(kind, "\n")
+    return "".join(line + end for line in lines).encode()
+
+
+@pytest.fixture(scope="module")
+def clean_runs(tmp_path_factory):
+    """A 40-row CSV and a config file, and what calibrate, predict and
+    evaluate write from them, each file under the path the fuzz reuses."""
+    root = tmp_path_factory.mktemp("csv_fuzz")
+    data, cfg = root / "data.csv", root / "run.cfg"
+    save_csv(generate(GeneratorSpec("sine_hetero", 40, seed=3, nuisance_dims=1)), data)
+    cfg.write_text(_CLEAN_CONFIG)
+    model = root / "model.json"
+    commands = {
+        "calibrate": (["calibrate", "--config", str(cfg), "--input", str(data)], "--output"),
+        "predict": (["predict", "--model", str(model), "--input", str(data)], "--output"),
+        "evaluate": (["evaluate", "--model", str(model), "--input", str(data)], "--output-json"),
+    }
+    expected = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["calibrate", "--config", str(cfg), "--input", str(data), "--output", str(model)]) == 0
+        for name, (argv, flag) in commands.items():
+            out = root / f"{name}.out"
+            assert main([*argv, flag, str(out)]) == 0
+            expected[name] = out.read_bytes()
+    return root, data.read_text(), commands, expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_csv_or_config_exits_2_naming_the_file_or_runs(clean_runs, data):
+    """One or two mutations of the CSV or the config file: ragged rows,
+    quotes, a BOM, other line ends, blank lines, blank and repeated names,
+    non-finite, huge or non-numeric cells, bytes that are not UTF-8, and
+    unknown, repeated or malformed config lines. calibrate, predict and
+    evaluate each exit 0, or exit 2 naming a mutated file, with no traceback
+    and no output left; a harmless mutation writes the clean outputs."""
+    root, clean_csv, commands, expected = clean_runs
+    kinds = data.draw(st.lists(st.sampled_from(_CSV_MUTATIONS + _CONFIG_MUTATIONS), min_size=1, max_size=2))
+    csv_raw, cfg_raw = clean_csv.encode(), _CLEAN_CONFIG.encode()
+    # a BOM or bad bytes go in last, so every other mutation edits UTF-8 text
+    for kind in sorted(kinds, key=lambda k: k.endswith(("bom", "bad_bytes"))):
+        if kind in _CONFIG_MUTATIONS:
+            cfg_raw = _mutated(data, kind, cfg_raw)
+        else:
+            csv_raw = _mutated(data, kind, csv_raw)
+    (root / "data.csv").write_bytes(csv_raw)
+    (root / "run.cfg").write_bytes(cfg_raw)
+    for name, (argv, flag) in commands.items():
+        out = root / "mutated.out"
+        out.unlink(missing_ok=True)
+        mutated = [root / "data.csv"] + [root / "run.cfg"] * (name == "calibrate")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([*argv, flag, str(out)])
+        err = err.getvalue()
+        assert "Traceback" not in err
+        read = {k for k in kinds if name == "calibrate" or k not in _CONFIG_MUTATIONS}
+        if rc == 0:
+            assert not read & set(_REFUSED), (name, kinds)
+            if read <= {*_HARMLESS, "config_bom"}:
+                assert out.read_bytes() == expected[name], (name, kinds)
+        else:
+            assert rc == 2, (name, kinds, err)
+            assert any(err.startswith(f"error: {path}") for path in mutated), (name, kinds, err)
+            assert not out.exists(), (name, kinds)
 
 
 def test_module_entry_point(tmp_path):

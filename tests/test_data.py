@@ -1,13 +1,18 @@
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qcalib import data as data_module
 from qcalib.data import (
     Dataset,
     DatasetError,
     SplitSpec,
     Standardizer,
+    _numeric_rows,
     _query_rows,
     _sample,
     _write_csv,
@@ -190,6 +195,103 @@ class TestCsv:
         path.write_text("y\n1\n")
         with pytest.raises(DatasetError, match="no feature columns"):
             load_csv(path, "y")
+
+
+# cells the two reader paths must agree on: odd but valid floats, quotes,
+# digit separators, Unicode digits and spaces, hex, overflow, non-finite
+# words, blanks and text
+_ODD_CELLS = [
+    "-0", "1.", ".5", "+7", "2.5E-3", "4.9e-324", "1e400", "-1e400", "nan", "-inf", "Infinity",
+    '"1"', '" 2 "', '""', "1_000", "1_0", "\u0663", "\u0661.\u0665", "0x10", "\xa01", " 4 ", "\t5",
+    "", " ", "abc", "#1", "1 2", "\x001",
+]
+
+
+@st.composite
+def _csv_bytes(draw) -> bytes:
+    """A CSV file: a header of 1 to 3 names (blank, quoted and repeated ones
+    among them), rows mostly of one width and mostly of plain floats, blank
+    and whitespace-only lines, LF, CRLF and CR ends, a BOM, a bad byte."""
+    names = st.sampled_from(["x", "y", "z", " a ", '"b"', "", "x"])
+    header = draw(st.lists(names, min_size=1, max_size=3))
+    width = draw(st.sampled_from([len(header)] * 3 + [len(header) + 1]))
+    plain = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers(-10**20, 10**20).map(str)
+    cell = st.one_of(plain, plain, plain, st.sampled_from(_ODD_CELLS))
+    row = st.lists(cell, min_size=width, max_size=width) | st.lists(cell, min_size=1, max_size=4)
+    line = st.one_of(row.map(",".join), row.map(",".join), st.sampled_from(["", " ", "\t", ",", " , "]))
+    lines = [",".join(header), *draw(st.lists(line, max_size=5))]
+    end = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(ln + draw(end) for ln in lines)[: None if draw(st.booleans()) else -1]
+    raw = draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.encode()
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xe9" + raw[at:]
+    return raw
+
+
+def _per_cell(path):
+    """The per-cell loop alone: (header, table), or the message it raises."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header, rows = _numeric_rows(path, csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        return f"{path}: {exc}"
+    except DatasetError as exc:
+        return str(exc)
+    return header, np.asarray(rows, dtype=float)
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(raw=_csv_bytes())
+def test_reader_gives_the_per_cell_loops_bits_or_message(csv_dir, raw):
+    path = csv_dir / "t.csv"
+    path.write_bytes(raw)
+    want = _per_cell(path)
+    try:
+        got = read_numeric_csv(path)
+    except DatasetError as exc:
+        got = str(exc)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got[0] == want[0]
+        assert (got[1].dtype, got[1].shape) == (want[1].dtype, want[1].shape)
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "text, per_cell",
+    [
+        ("x,y\r\n1,2\r\n3,4\r\n", False),
+        ("\ufeffx,y\n1,2\n", False),
+        ("x,y\n1,2\n\n3,4\n", False),
+        ("x,y\r1,2\r3,4", False),
+        ("x,y\n 1 ,\xa02\n", False),
+        ('x,y\n"1",2\n', True),
+        ("x,y\n1_000,2\n", True),
+        ("x,y\n1,2\n  \n3,4\n", True),
+        ("x\n\u0663\n", True),
+    ],
+)
+def test_which_files_take_the_per_cell_loop(tmp_path, monkeypatch, text, per_cell):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _numeric_rows(*args)
+
+    monkeypatch.setattr(data_module, "_numeric_rows", spy)
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    header, table = read_numeric_csv(path)
+    assert bool(calls) == per_cell
+    assert _per_cell(path)[0] == header
+    assert _per_cell(path)[1].tobytes() == table.tobytes()
 
 
 class TestSplit:

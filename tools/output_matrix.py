@@ -18,6 +18,13 @@ calibrate's residual pass reads key slabs rather than every stored point: no
 projection at ``--bandwidth 0.3``, and ``--projection correlation
 --projection-dim 1`` at 0.05 and ``auto``, each with ``predict --taus
 0.05,0.5,0.95`` on a 2 000-row CSV and ``evaluate --output-curve``.
+Then two rewrites of the 400- and 200-row CSVs that hold the same numbers,
+one for each path of the CSV reader, go through ``calibrate`` (OLS at
+``--bandwidth 0.3``), ``predict`` and ``evaluate``: ``fast`` starts with a
+byte order mark and has blank lines between its CRLF-ended rows, which
+``np.loadtxt`` reads; ``slow`` quotes some cells, writes others with a digit
+separator (``0.1_25``) and has whitespace-only lines, which only the per-cell
+loop reads.
 
 OUTDIR receives every file the commands write, ``commands.log`` with each
 command, its printed output and its exit code, and a sorted ``SHA256SUMS``.
@@ -32,6 +39,7 @@ import hashlib
 import io
 import itertools
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -142,6 +150,40 @@ def run_matrix(log: list[str]) -> None:
             "--output-json", f"wide-{name}.report.json", "--output-curve", f"wide-{name}.curve.csv",
             "--group-column", "x", "--group-bins", "5", "--seed", "4",
         )
+    for path in ("fast", "slow"):
+        for name in ("train", "test"):
+            _rewritten(f"{name}.csv", f"{path}-{name}.csv", path)
+        _run(
+            log, "calibrate", "--input", f"{path}-train.csv", "--target", "y",
+            "--output", f"{path}.model.json", "--bandwidth", "0.3", "--seed", "3",
+        )
+        _run(
+            log, "predict", "--model", f"{path}.model.json", "--input", f"{path}-test.csv",
+            "--output", f"{path}.taus.csv", "--taus", "0.1,0.5,0.9",
+        )
+        _run(
+            log, "evaluate", "--model", f"{path}.model.json", "--input", f"{path}-test.csv",
+            "--output-json", f"{path}.report.json", "--output-curve", f"{path}.curve.csv",
+            "--group-column", "x1", "--group-bins", "3", "--seed", "4",
+        )
+
+
+def _rewritten(src: str, dest: str, path: str) -> None:
+    """``src`` with the same numbers, laid out for one CSV reader path."""
+    rows = Path(src).read_text(encoding="utf-8").splitlines()
+    if path == "fast":
+        text = "\ufeff" + "".join(row + "\r\n" + "\r\n" * (i % 7 == 3) for i, row in enumerate(rows))
+    else:
+        out = []
+        for i, row in enumerate(rows):
+            cells = row.split(",")
+            if i % 5 == 1:
+                cells = [f'"{c}"' for c in cells]
+            elif i % 5 == 2:
+                cells = [re.sub(r"(\d)(\d)", r"\1_\2", c, count=1) for c in cells]
+            out.append(",".join(cells) + ("\n  \t\n" if i % 9 == 4 else "\n"))
+        text = "".join(out)
+    Path(dest).write_bytes(text.encode("utf-8"))
 
 
 def write_sums(root: Path) -> int:
