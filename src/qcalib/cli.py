@@ -448,8 +448,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_config_pairs(path, command: argparse.ArgumentParser) -> list[tuple[str, str | None]]:
     # the keys are the command's long options; a switch takes a true/false word
-    switches = {
-        flag[2:].replace("-", "_"): action.nargs == 0
+    actions = {
+        flag[2:].replace("-", "_"): action
         for action in command._actions
         for flag in action.option_strings
         if flag.startswith("--") and flag not in ("--help", "--config")
@@ -469,17 +469,30 @@ def _read_config_pairs(path, command: argparse.ArgumentParser) -> list[tuple[str
             raise ValueError(f"{path} line {line_no}: expected key=value, got {text!r}")
         key, value = (part.strip() for part in text.split("=", 1))
         key = key.replace("-", "_")
-        if key not in switches:
+        if key not in actions:
             raise ValueError(f"{path} line {line_no}: unknown key {key!r} for {command.prog}")
         if first.setdefault(key, line_no) != line_no:
             raise ValueError(f"{path} line {line_no}: key {key!r} repeats line {first[key]}")
-        if not switches[key]:
+        action = actions[key]
+        if action.nargs != 0:
+            _check_config_value(action, value, f"{path} line {line_no}: {key}")
             pairs.append((key, value))
         elif value.lower() in _TRUE_WORDS:
             pairs.append((key, None))
         elif value.lower() not in _FALSE_WORDS:
             raise ValueError(f"{path} line {line_no}: {key} must be true/false")
     return pairs
+
+
+def _check_config_value(action: argparse.Action, value: str, where: str) -> None:
+    """Refuse, naming the file and line, a value its flag would refuse."""
+    try:
+        converted = value if action.type is None else action.type(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}: invalid {action.type.__name__} value {value!r}") from None
+    if action.choices is not None and converted not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise ValueError(f"{where}: invalid choice {value!r} (choose from {choices})")
 
 
 def _merge_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
@@ -568,7 +581,13 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, FloatingPointError) as exc:  # DatasetError is a ValueError
         for path in written:
             Path(path).unlink(missing_ok=True)
-        if isinstance(exc, FloatingPointError) and hasattr(args, "input"):
+        if isinstance(exc, FloatingPointError) and hasattr(args, "model"):
+            # the model's stored values take part in the same arithmetic
+            exc = (
+                f"{args.input} or {args.model}: {exc}; "
+                "one of them holds values too large to compute with"
+            )
+        elif isinstance(exc, FloatingPointError) and hasattr(args, "input"):
             exc = f"{args.input}: {exc}; its values are too large to compute with"
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -45,10 +45,57 @@ block takes it when the union of its slabs holds more than
 in one block: the sort, the bounds and the slab ends cost about 25 small
 numpy calls, more than a slab saves on one block of queries (one kNN query
 against 2 500 points in 5-d: 64-110 µs in a full scan, 115-180 µs through a
-slab). Only calibrate's residual pass asks for slabs so far. Batch
-prediction and the estimator's balls keep the full scan, because the
+slab). Only calibrate's residual pass asks for slabs so far. Batch kNN
+prediction and the estimator's balls read every stored point, because the
 benchmark's serving loop cannot yet time a ``knn_d5_fixed`` sequence much
 shorter than today's (see ROADMAP.md).
+
+Balls from a Gram block. A ball needs to know only which stored points have
+``dist <= h``. :func:`ball_blocks` gives the estimator, its neighborhoods and
+bandwidth CV their balls, block by block and radius by radius. Over stores
+of fewer than ``_GRAM_MIN_DIM`` coordinates it compares the kernel's
+distances, as above. From there on it takes, for the block's queries q and
+every stored point p, ``s = |q|² + |p|² - 2 q·p`` from one matrix product
+``(-2 q) @ cols`` and the squared norms (the store caches its own), and with
+``band = 4 (d + 8) u (max |q|² + max |p|² + 2**-960 + h²)`` over the block,
+u = 2**-53, a pair with
+
+- ``s <= h² - band`` is in the ball,
+- ``s > h² + band`` is out,
+- anything else, NaN included (it compares false both ways), gets the
+  kernel's own distance, ``sqrt`` of its squared sum, compared with h.
+
+Rows that widen to ``min_neighbors`` take the kernel's distances to every
+stored point. So counts, radii and members are the full scan's, bit for bit.
+A block whose squared norms are not all below ``_GRAM_NORM_LIMIT`` = 2**1000,
+and a radius whose ``h² + band`` is not, take the kernel's distances
+throughout: it raises or warns on overflow exactly as the full scan does.
+Below the limit every coordinate is under 2**500.01, so no product, norm,
+kernel square or sum overflows (d < 2**21), and the Gram arithmetic itself
+runs with floating-point errors ignored.
+
+Why the band holds. Write Q = |q|², P = |p|², S = Σ (q_i - p_i)², all
+exact, K for the kernel's squared sum, γ_k = k u / (1 - k u) and η = 2**-1074
+for the absolute error an underflow can add to one product.
+
+1. Dot products and norms. A d-term dot product, summed in any order (BLAS
+   blocking and FMA included), is within γ_d Σ |a_i b_i| + d η of the exact
+   one (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, §3.1),
+   and Σ |q_i p_i| <= (Q + P) / 2. With the norms' own errors and the two
+   additions that form s, |s - S| <= (2d + 5) u (Q + P) + 4 d η for d < 2**25.
+2. The kernel. Each term fl(fl(q_i - p_i)²) is (q_i - p_i)² (1 + δ)² (1 + δ')
+   plus at most η, and a sum of nonnegative terms in any order keeps each
+   term within γ_(d-1) relatively, so |K - S| <= γ_(d+2) S + 2 d η.
+3. sqrt and h². Rounding and sqrt are monotone and h is a float, so
+   K <= h² gives fl(sqrt K) <= h; and K > h² (1 + u)² + η puts sqrt K past
+   the midpoint between h and the next float, so fl(sqrt K) > h. The
+   computed h² is within u h² + η of h², and h² ± band within u of its
+   value.
+
+Chaining the three, s <= h² - band gives K <= h², and s > h² + band gives
+K > h² (1 + u)² + η, whenever band >= (2d + 5) u (Q + P) + (d + 7) u h² + 8 d η
+up to factors 1 + O(d u). The band above is twice that for the pair's own
+norms, and its floor, (d + 8) 2**-1011, is far above 8 d η.
 """
 
 from __future__ import annotations
@@ -58,7 +105,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["KeySortedPoints", "block_balls", "k_nearest", "pair_distances"]
+__all__ = ["KeySortedPoints", "ball_blocks", "block_balls", "k_nearest", "pair_distances"]
 
 # rows × n × d entries per block; 125 k to 1 M ran alike, 8 M up to 1.8x slower
 _BLOCK_BUDGET = 500_000
@@ -68,6 +115,19 @@ _BLOCK_BUDGET = 500_000
 _FULL_SCAN_SHARE = 0.5
 # numpy's pairwise summation: 8 accumulators up to this many terms, halves above
 _PAIRWISE_BLOCK = 128
+# balls over stores of at least this many coordinates start from a Gram block.
+# 2 000 queries x 2 000 points, 3 levels, balls of a fifth of the points:
+# direct 24 / 32 / 49 / 57 / 151 ms at d = 1 / 2 / 4 / 5 / 20, Gram 30 / 20 /
+# 19 / 20 / 22 ms. One query against 1 500 points: direct 58 / 41 / 43 / 48 /
+# 92 µs, Gram 81 / 48 / 46 / 46 / 48 µs; against 400 points at d = 4, 67
+# against 70 µs. From d = 5 on neither a batch nor a lone query is slower.
+_GRAM_MIN_DIM = 5
+_UNIT_ROUNDOFF = 2.0**-53
+# squared norms, and h² plus the band, below this keep every Gram product,
+# band and kernel sum finite
+_GRAM_NORM_LIMIT = 2.0**1000
+# added to the band's scale, far above any error from underflow
+_BAND_FLOOR = 2.0**-960
 
 
 def _squares(queries: np.ndarray, cols: np.ndarray, j: int, out=None) -> np.ndarray:
@@ -107,11 +167,19 @@ def _square_sum(queries: np.ndarray, cols: np.ndarray, lo: int, hi: int) -> np.n
     return acc
 
 
+def _distances(queries: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The kernel's distances from each query row to each stored column of
+    ``cols`` (d, ...), which may be gathered per row."""
+    dists = _square_sum(queries, cols, 0, cols.shape[0])
+    return np.sqrt(dists, out=dists)
+
+
 class KeySortedPoints:
     """Stored points for neighbor queries: ``cols``, a C-ordered (d, n) copy
     of any (n, d) matrix, so each coordinate row is contiguous. The key
     coordinate and the points' stable order along it are built when a scan
-    first takes slabs, so a model that answers one query at a time never sorts."""
+    first takes slabs, so a model that answers one query at a time never
+    sorts; the squared norms, when a ball step first takes a Gram block."""
 
     def __init__(self, points: np.ndarray) -> None:
         self.cols = np.array(points.T, order="C")
@@ -129,6 +197,12 @@ class KeySortedPoints:
     @cached_property
     def keys(self) -> np.ndarray:
         return self.cols[self.key, self.order]
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """Squared norms of the points, summed in any order; an overflow is inf."""
+        with np.errstate(all="ignore"):
+            return np.einsum("ij,ij->j", self.cols, self.cols)
 
 
 def _kth_bounds(
@@ -201,8 +275,8 @@ def _distance_blocks(
         if order is not None and lasts[i] - firsts[i] <= _FULL_SCAN_SHARE * n:
             members = np.sort(store.order[firsts[i] : lasts[i]])
         cols = store.cols if members is None else store.cols[:, members]
-        dists = _square_sum(queries[block], cols, 0, d)
-        yield block if order is None else order[block], np.sqrt(dists, out=dists), members
+        dists = _distances(queries[block], cols)
+        yield block if order is None else order[block], dists, members
         del dists
 
 
@@ -259,19 +333,95 @@ def block_balls(dists: np.ndarray, radius: float, min_count: int) -> tuple[np.nd
     """``(counts, radii, members)`` of one distance block's balls: each row's
     points within ``radius``, boundary included, or within its ``min_count``-th
     (capped at n) nearest distance where fewer; members row after row, ascending."""
-    k = min(min_count, dists.shape[1])
-    inside = dists <= radius
+    return _balls(dists <= radius, radius, min_count, dists.__getitem__)
+
+
+def _balls(inside: np.ndarray, radius: float, min_count: int, near) -> tuple[np.ndarray, ...]:
+    """:func:`block_balls` from the block's ``dists <= radius``; ``near(rows)``
+    gives those rows' distances to every stored point, for the rows that widen."""
+    k = min(min_count, inside.shape[1])
     counts = inside.sum(axis=1)
     radii = np.empty(counts.shape[0])
     radii.fill(radius)
     short = (counts < k).nonzero()[0]
     if short.size:
-        near = dists[short]
-        radii[short] = np.partition(near, k - 1, axis=1)[:, k - 1]
-        inside[short] = near <= radii[short, None]
+        dists = near(short)
+        radii[short] = np.partition(dists, k - 1, axis=1)[:, k - 1]
+        inside[short] = dists <= radii[short, None]
         counts[short] = inside[short].sum(axis=1)
-        del near
+        del dists
     # flat positions, then point indices; cheaper than a 2-d nonzero
     members = inside.ravel().nonzero()[0]
-    members %= dists.shape[1]
+    members %= inside.shape[1]
     return counts, radii, members
+
+
+def _gram_block(queries: np.ndarray, store: KeySortedPoints) -> tuple[np.ndarray, float] | None:
+    """``(s, scale)``: the Gram estimates ``|q|² + |p|² - 2 q·p`` of the
+    block's squared distances, and the block's ``max |q|² + max |p|²`` plus
+    the band's floor; None when a squared norm is not below
+    ``_GRAM_NORM_LIMIT`` (or is NaN), so the kernel must decide."""
+    with np.errstate(all="ignore"):  # an overflow or NaN only sends the block to the kernel
+        norms = np.einsum("ij,ij->i", queries, queries)
+        top_q, top_p = norms.max(), store.norms.max()
+        if not (top_q < _GRAM_NORM_LIMIT and top_p < _GRAM_NORM_LIMIT):
+            return None
+        s = (queries * -2.0) @ store.cols  # scaling by -2 is exact
+        s += norms[:, None]
+        s += store.norms
+    return s, float(top_q) + float(top_p) + _BAND_FLOOR
+
+
+def _gram_balls(
+    gram: tuple[np.ndarray, float],
+    queries: np.ndarray,
+    store: KeySortedPoints,
+    radius: float,
+    min_count: int,
+) -> tuple[np.ndarray, ...]:
+    """:func:`block_balls` over the kernel's distances, decided from the Gram
+    block where the band allows and by the kernel elsewhere; see the module
+    docstring."""
+    s, scale = gram
+    d = queries.shape[1]
+    h2 = float(radius) * float(radius)  # Python floats: an overflow gives inf
+    band = 4.0 * (d + 8) * _UNIT_ROUNDOFF * (scale + h2)
+    low, high = h2 - band, h2 + band
+    if not high < _GRAM_NORM_LIMIT:  # inf, or too wide to bound: every pair by the kernel
+        return block_balls(_distances(queries, store.cols), radius, min_count)
+    inside = s <= low
+    unsure = s > high
+    np.logical_not(unsure, out=unsure)  # NaN compares false both ways: unsure
+    unsure ^= inside
+    flat = unsure.ravel().nonzero()[0]
+    if flat.size:
+        # each pair's query row against its own stored point, through the kernel
+        at, point = np.divmod(flat, s.shape[1])
+        near = _distances(queries[at], store.cols[:, point, None])
+        inside.ravel()[flat] = near[:, 0] <= radius
+        del near
+    return _balls(inside, radius, min_count, lambda rows: _distances(queries[rows], store.cols))
+
+
+def ball_blocks(
+    queries: np.ndarray, store: KeySortedPoints, radii, min_count: int
+) -> Iterator[tuple[slice, int, tuple[np.ndarray, ...]]]:
+    """``(rows, i, balls)`` for each block of queries and each ``radii[i]``:
+    ``balls`` is ``block_balls(dists, radii[i], min_count)`` over the rows'
+    kernel distances to every stored point, bit for bit. From
+    ``_GRAM_MIN_DIM`` coordinates on, a Gram block decides most pairs
+    without them (see the module docstring)."""
+    d, n = store.cols.shape
+    step = max(1, _BLOCK_BUDGET // max(1, n * d))
+    for start in range(0, queries.shape[0], step):
+        rows = slice(start, start + step)
+        block = queries[rows]
+        gram = _gram_block(block, store) if d >= _GRAM_MIN_DIM else None
+        # outside the Gram path's range the kernel raises or warns as it always has
+        dists = _distances(block, store.cols) if gram is None else None
+        for i, radius in enumerate(radii):
+            if gram is None:
+                yield rows, i, block_balls(dists, radius, min_count)
+            else:
+                yield rows, i, _gram_balls(gram, block, store, radius, min_count)
+        del gram, dists  # before the next block is built

@@ -9,19 +9,25 @@ whose empirical CDF weight reaches the requested level. That element is also
 the smallest minimizer of the neighborhood's average pinball loss, which is
 what makes the closed form valid.
 
-Distance blocks from :mod:`qcalib.neighbors` run over the points in value
-order, sorted once at construction into the estimator's one store; one step
-turns a block into quantiles: balls, then ranks, then values. Single-query
-methods are batches of one, and a neighborhood is a ball of that same store,
-mapped back to file order.
+Balls come from one step of :mod:`qcalib.neighbors`,
+:func:`~qcalib.neighbors.ball_blocks`, over the points in value order,
+sorted once at construction into the estimator's one store; a block's balls
+become quantiles as ranks, then values. Single-query methods are batches of
+one, and a neighborhood is a ball of that same store, mapped back to file
+order. From ``neighbors._GRAM_MIN_DIM`` (5) coordinates on, the step decides
+most pairs from a matrix product, ``|q|² + |p|² - 2 q·p``, and a rounding
+band around h² that holds for any summation order; the pairs inside the band
+and the rows that widen take the kernel's own distances. So every ball, and
+every quantile, is the full scan's bit for bit (the argument is in
+:mod:`qcalib.neighbors`).
 
 Bandwidth selection is K-fold cross-validation of the pinball loss over a
 candidate grid drawn from the quantiles of pairwise inter-point distances,
 computed by the kernel's pair pass. The sample is sorted by value once; each
 fold keeps its points in that order (a stable sort's subset is the stable
-sort of the subset), builds one store of them and makes one distance pass
-from its held-out rows, and every candidate takes its quantiles from the
-same blocks, through the estimator's own step.
+sort of the subset), builds one store of them and makes one pass of the ball
+step from its held-out rows with every candidate radius, so all candidates
+read the same distance or Gram blocks.
 """
 
 from __future__ import annotations
@@ -58,12 +64,10 @@ def _left_quantile_ranks(counts: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return (c - 2.0 + ((c - 1.0) / m < levels) + (c / m < levels)).astype(np.intp)
 
 
-def _ball_quantiles(
-    dists: np.ndarray, values: np.ndarray, kernel: KernelConfig, levels: np.ndarray
-) -> np.ndarray:
-    """(rows, len(levels)) left quantiles over one distance block's balls, for
-    points and ``values`` in value order, so a quantile is a rank lookup."""
-    counts, _, members = neighbors.block_balls(dists, kernel.bandwidth, kernel.min_neighbors)
+def _ball_quantiles(balls: tuple, values: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """(rows, len(levels)) left quantiles over one block's balls, for points
+    and ``values`` in value order, so a quantile is a rank lookup."""
+    counts, _, members = balls
     first = counts.cumsum() - counts
     return values[members[_left_quantile_ranks(counts, levels) + first[:, None]]]
 
@@ -140,8 +144,8 @@ class QuantileEstimator:
         """
         xs = _query_rows(np.asarray(x, dtype=float).reshape(1, -1), self.dim)
         kernel = self.kernel
-        _, dists, _ = next(neighbors._distance_blocks(xs, self._store))
-        _, radii, members = neighbors.block_balls(dists, kernel.bandwidth, kernel.min_neighbors)
+        balls = neighbors.ball_blocks(xs, self._store, (kernel.bandwidth,), kernel.min_neighbors)
+        _, _, (_, radii, members) = next(balls)
         return LocalNeighborhood(np.sort(self._order[members]), float(radii[0]))
 
     def predict_quantile(self, x, tau: float) -> float:
@@ -158,10 +162,13 @@ class QuantileEstimator:
         """
         levels = taus.levels if isinstance(taus, TauGrid) else TauGrid(taus).levels
         xs = _query_rows(xs, self.dim)
+        kernel = self.kernel
         out = np.empty((xs.shape[0], levels.shape[0]))
-        for rows, dists, _ in neighbors._distance_blocks(xs, self._store):
-            out[rows] = _ball_quantiles(dists, self._values_by_value, self.kernel, levels)
-            del dists  # before the next block is built
+        for rows, _, balls in neighbors.ball_blocks(
+            xs, self._store, (kernel.bandwidth,), kernel.min_neighbors
+        ):
+            out[rows] = _ball_quantiles(balls, self._values_by_value, levels)
+            del balls  # before the next block is built
         return out
 
 
@@ -248,7 +255,7 @@ def bandwidth_cv_scores(points, values, search: BandwidthSearch) -> tuple[np.nda
         raise ValueError(f"{n} points cannot fill {search.folds} folds")
     levels = (search.tau_grid or default_tau_grid()).levels
     candidates = _resolve_candidates(points, search)
-    kernels = [KernelConfig(float(h)) for h in candidates]
+    radii = [KernelConfig(float(h)).bandwidth for h in candidates]  # each a valid bandwidth
     order = np.argsort(values, kind="stable")
     points_by_value, values_by_value = points[order], values[order]
 
@@ -258,10 +265,9 @@ def bandwidth_cv_scores(points, values, search: BandwidthSearch) -> tuple[np.nda
         kept_values = values_by_value[keep]
         preds = np.empty((candidates.shape[0], held_out.shape[0], levels.shape[0]))
         kept = neighbors.KeySortedPoints(points_by_value[keep])
-        for rows, dists, _ in neighbors._distance_blocks(points[held_out], kept):
-            for ci, kernel in enumerate(kernels):
-                preds[ci, rows] = _ball_quantiles(dists, kept_values, kernel, levels)
-            del dists  # before the next block is built
+        for rows, ci, balls in neighbors.ball_blocks(points[held_out], kept, radii, 1):
+            preds[ci, rows] = _ball_quantiles(balls, kept_values, levels)
+            del balls  # before the next block or candidate is built
         observed = values[held_out][:, None]
         for ci, fold_preds in enumerate(preds):
             fold_losses[ci, fi] = pinball_loss(fold_preds, observed, levels[None, :]).mean()

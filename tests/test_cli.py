@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcalib import neighbors
 from qcalib.cli import _build_parser, _merge_config, main
 from qcalib.data import Dataset, load_csv, save_csv
 from qcalib.synthetic import GeneratorSpec, generate
@@ -213,8 +214,9 @@ class TestConfigFile:
                         with pytest.raises(ValueError, match="true/false"):
                             _merge_config(parser, argv)
                     else:
-                        cfg.write_text(f"{key} = 7\n")
-                        assert _merge_config(parser, argv)[3:] == [flag, "7"], (name, key)
+                        value = action.choices[0] if action.choices else "7"
+                        cfg.write_text(f"{key} = {value}\n")
+                        assert _merge_config(parser, argv)[3:] == [flag, value], (name, key)
 
     @pytest.mark.parametrize(
         "command, line, key",
@@ -251,6 +253,24 @@ class TestConfigFile:
         argv = ["--config", str(cfg), "--input", str(train_csv), "--target", "y"]
         assert main(["calibrate", *argv, "--output", str(out)]) == 2
         assert capsys.readouterr() == ("", f"error: {cfg} line {line}: key {key!r} repeats line {first}\n")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("seed = abc", "seed: invalid int value 'abc'"),
+            ("fraction_train = half", "fraction_train: invalid float value 'half'"),
+            ("regressor = tree", "regressor: invalid choice 'tree' (choose from 'ols', 'knn', 'external')"),
+        ],
+    )
+    def test_value_its_flag_refuses_named_by_file_and_line(self, tmp_path, train_csv, capsys, line, message):
+        # argparse used to refuse it, naming neither the file nor the line
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"target = y\n{line}\n")
+        out = tmp_path / "m.json"
+        assert main(["calibrate", "--config", str(cfg), "--input", str(train_csv), "--output", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {cfg} line 2: {message}\n")
         assert not out.exists()
 
 
@@ -580,19 +600,28 @@ def _json_kind(value):
 
 @pytest.fixture(scope="module")
 def golden_predictions(tmp_path_factory):
-    """The golden models' queries as a CSV, and each model's predict output."""
+    """{kind: (model, queries CSV, predict output)}: the golden models on their
+    queries, and a model over six features, whose balls take the Gram path."""
     root = tmp_path_factory.mktemp("golden")
     queries = root / "queries.csv"
     rows = json.loads((GOLDEN / "predictions.json").read_text())["queries"]
     queries.write_text("x1,x2,pred\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
+    cases = {kind: (GOLDEN / f"{kind}.json", queries) for kind in ("ols", "knn", "external")}
+    wide_csv, wide_model = root / "wide.csv", root / "wide.json"
+    save_csv(generate(GeneratorSpec("sine_hetero", 80, seed=4, nuisance_dims=5)), wide_csv)
+    cases["wide"] = (wide_model, wide_csv)
     expected = {}
-    for kind in ("ols", "knn", "external"):
-        out = root / f"{kind}.csv"
-        argv = ["--model", str(GOLDEN / f"{kind}.json"), "--input", str(queries)]
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["predict", *argv, "--output", str(out), "--taus", "0.1,0.5,0.9"]) == 0
-        expected[kind] = out.read_bytes()
-    return root, queries, expected
+    with contextlib.redirect_stdout(io.StringIO()):
+        argv = ["--input", str(wide_csv), "--target", "y", "--bandwidth", "2.5"]
+        assert main(["calibrate", *argv, "--output", str(wide_model)]) == 0
+        for kind, (model, inputs) in cases.items():
+            out = root / f"{kind}_predictions.csv"
+            argv = ["--model", str(model), "--input", str(inputs), "--output", str(out)]
+            assert main(["predict", *argv, "--taus", "0.1,0.5,0.9"]) == 0
+            expected[kind] = (model, inputs, out.read_bytes())
+    width = len(json.loads(wide_model.read_text())["quantile_estimator"]["points"][0])
+    assert width >= neighbors._GRAM_MIN_DIM
+    return root, expected
 
 
 def _mutations(path: str, value) -> list[str]:
@@ -604,6 +633,8 @@ def _mutations(path: str, value) -> list[str]:
             out.append("transpose")
         if all(type(v) in (int, float) for row in (value if matrix else [value]) for v in row):
             out += ["non-finite", "non-number"]
+    if path in ("quantile_estimator.points", "regressor.train_features"):
+        out.append("huge")  # each query's distance to every stored point overflows
     if path == "quantile_estimator.bandwidth":
         out.append("negative")
     if path == "quantile_estimator.min_neighbors":
@@ -614,13 +645,16 @@ def _mutations(path: str, value) -> list[str]:
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_mutated_model_exits_2_naming_its_field_or_predicts_the_same(golden_predictions, data):
-    """One field of a golden model dropped, retyped, truncated, transposed,
-    made non-finite, or set out of range: predict either exits 2 naming the
-    file and the field, or writes the golden model's predictions unchanged.
-    An array element that is not a number always exits 2: true is not 1.0."""
-    root, queries, expected = golden_predictions
+    """One field of a model dropped, retyped, truncated, transposed, made
+    non-finite, or set out of range: predict either exits 2 naming the file
+    and the field, or writes the model's predictions unchanged. An array
+    element that is not a number always exits 2: true is not 1.0. A stored
+    point of 1e200 overflows the distances, and the message names both the
+    queries and the model."""
+    root, expected = golden_predictions
     kind = data.draw(st.sampled_from(sorted(expected)))
-    blob = json.loads((GOLDEN / f"{kind}.json").read_text())
+    source, queries, golden = expected[kind]
+    blob = json.loads(source.read_text())
     fields = _fields(blob)
     choices = [(m, p) for p, (holder, key) in fields.items() for m in _mutations(p, holder[key])]
     mutation = data.draw(st.sampled_from(sorted({m for m, _ in choices})))
@@ -642,6 +676,9 @@ def test_mutated_model_exits_2_naming_its_field_or_predicts_the_same(golden_pred
         row = data.draw(st.sampled_from(value if isinstance(value[0], list) else [value]))
         bad = [math.nan, math.inf, -math.inf] if mutation == "non-finite" else [True, "0.5", None]
         row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.sampled_from(bad))
+    elif mutation == "huge":
+        row = data.draw(st.sampled_from(value))
+        row[data.draw(st.integers(0, len(row) - 1))] = 1e200
     elif mutation == "negative":
         holder[key] = -data.draw(st.sampled_from([1e-9, 0.5, 7]))
     else:
@@ -656,14 +693,17 @@ def test_mutated_model_exits_2_naming_its_field_or_predicts_the_same(golden_pred
         rc = main(["predict", *argv, "--taus", "0.1,0.5,0.9"])
     err = err.getvalue()
     if rc == 0:
-        assert mutation != "non-number", (path, err)
-        assert out.read_bytes() == expected[kind], (path, mutation)
+        assert mutation not in ("non-number", "huge"), (path, err)
+        assert out.read_bytes() == golden, (path, mutation)
     else:
         assert rc == 2, err
-        # a part that still reads but no longer fits the next one (projection
-        # null before 1-wide points) is named by the width check, on both sides
         assert str(model_path) in err, err
-        assert path in err or " has width " in err, (path, mutation, err)
+        if mutation == "huge":
+            assert f"error: {queries} or {model_path}: overflow encountered in " in err, err
+        else:
+            # a part that still reads but no longer fits the next one (projection
+            # null before 1-wide points) is named by the width check, on both sides
+            assert path in err or " has width " in err, (path, mutation, err)
         assert "Traceback" not in err and not out.exists()
 
 
@@ -1129,9 +1169,16 @@ def test_repeated_header_name_exits_2(tmp_path, train_csv, capsys, command, head
 # text changes that leave every number and name as it was; the rest may fail
 _HARMLESS = ("bom", "crlf", "cr", "blank_lines", "quote")
 _CSV_MUTATIONS = (*_HARMLESS, "ragged", "blank_name", "repeat_name", "non_finite", "huge", "text", "bad_bytes")
-_CONFIG_MUTATIONS = ("config_bom", "unknown_key", "repeat_key", "malformed", "switch_word", "config_bad_bytes")
+_CONFIG_MUTATIONS = (
+    "config_bom", "unknown_key", "repeat_key", "malformed", "switch_word", "wrong_type", "config_bad_bytes"
+)
 # mutations no command may run past
-_REFUSED = ("ragged", "blank_name", "bad_bytes", "unknown_key", "repeat_key", "malformed", "config_bad_bytes")
+_REFUSED = (
+    "ragged", "blank_name", "bad_bytes", "unknown_key", "repeat_key", "malformed", "wrong_type",
+    "config_bad_bytes",
+)
+# values their flags refuse: a type that cannot read them, or a choice not offered
+_WRONG_TYPED = ("seed = abc", "cv_folds = 2.5", "min_neighbors = many", "fraction_train = half", "regressor = tree")
 _CLEAN_CONFIG = "target = y\nbandwidth = 0.8\nseed = 1\n"
 
 
@@ -1177,6 +1224,9 @@ def _mutated(data, kind: str, raw: bytes) -> bytes:
         lines.append(lines[row].replace(" ", data.draw(st.sampled_from(["", " ", "  "]))))
     elif kind == "malformed":
         lines.insert(row, data.draw(st.sampled_from(["just words", "=", "seed"])))
+    elif kind == "wrong_type":  # in place of the clean seed line, so no key repeats
+        lines = [line for line in lines if not line.startswith("seed")]
+        lines.append(data.draw(st.sampled_from(_WRONG_TYPED)))
     elif kind == "switch_word":
         lines.append(f"no_shuffle = {data.draw(st.sampled_from(['maybe', '', 'true', 'off']))}")
     end = {"crlf": "\r\n", "cr": "\r"}.get(kind, "\n")

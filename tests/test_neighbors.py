@@ -167,9 +167,11 @@ def test_distances_equal_numpy_sum_bitwise(monkeypatch, d):
 def test_each_sample_builds_one_store(tmp_path, monkeypatch):
     # a KeySortedPoints is the one layout the kernel reads: the kNN regressor
     # and the estimator build theirs at construction, each CV fold builds one,
-    # and queries and neighborhoods build none, reading the stores they have
+    # and queries and neighborhoods build none, reading the stores they have;
+    # balls scan through the ball step on either side of the Gram dimension
     built, scanned = [], []
-    init, scan = neighbors.KeySortedPoints.__init__, neighbors._distance_blocks
+    init = neighbors.KeySortedPoints.__init__
+    scan, balls = neighbors._distance_blocks, neighbors.ball_blocks
 
     def recorded_init(store, points):
         built.append(store)
@@ -179,36 +181,163 @@ def test_each_sample_builds_one_store(tmp_path, monkeypatch):
         scanned.append(store)
         return scan(queries, store, k)
 
+    def recorded_balls(queries, store, radii, min_count):
+        scanned.append(store)
+        return balls(queries, store, radii, min_count)
+
     monkeypatch.setattr(neighbors.KeySortedPoints, "__init__", recorded_init)
     monkeypatch.setattr(neighbors, "_distance_blocks", recorded_scan)
+    monkeypatch.setattr(neighbors, "ball_blocks", recorded_balls)
     rng = np.random.default_rng(0)
-    features = rng.normal(size=(60, 3))
-    data = Dataset(features, features.sum(axis=1) + rng.normal(size=60), ("a", "b", "c"))
-    cfg = CalibrationConfig(RegressorSpec("knn", knn_k=3), kernel=KernelConfig(0.9))
-    save_model(calibrate(data, cfg), tmp_path / "model.json")
-    built.clear()
-    model = load_model(tmp_path / "model.json")
-    regressor, estimator = model.regressor, model.quantile_estimator
-    assert built == [regressor._store, estimator._store]
-    built.clear()
-    scanned.clear()
-    model.predict_quantile_batch(features[:5], [0.5])
-    estimator.neighborhood(np.zeros(3))
-    assert built == []
-    assert scanned == [regressor._store, estimator._store, estimator._store]
-    scanned.clear()
-    bandwidth_cv_scores(features, data.target, BandwidthSearch(folds=3))
-    assert len(built) == 3
-    assert scanned == built  # one distance pass per fold, over its own store
-    # each store holds its own contiguous coordinate rows: the kNN rows in
-    # file order, the estimator's in value order
-    for store in [regressor._store, estimator._store, *built]:
-        assert store.cols.flags.c_contiguous
-    assert not np.shares_memory(regressor._store.cols, regressor.train_features)
-    assert regressor._store.cols.tobytes() == regressor.train_features.T.tobytes()
-    by_value = np.argsort(estimator.values, kind="stable")
-    assert estimator._order.tobytes() == by_value.tobytes()
-    assert estimator._store.cols.tobytes() == estimator.points[by_value].T.tobytes()
+    for d in (3, neighbors._GRAM_MIN_DIM):
+        features = rng.normal(size=(60, d))
+        names = tuple(f"x{j}" for j in range(d))
+        data = Dataset(features, features.sum(axis=1) + rng.normal(size=60), names)
+        cfg = CalibrationConfig(RegressorSpec("knn", knn_k=3), kernel=KernelConfig(0.9))
+        save_model(calibrate(data, cfg), tmp_path / "model.json")
+        built.clear()
+        model = load_model(tmp_path / "model.json")
+        regressor, estimator = model.regressor, model.quantile_estimator
+        assert built == [regressor._store, estimator._store]
+        built.clear()
+        scanned.clear()
+        model.predict_quantile_batch(features[:5], [0.5])
+        estimator.neighborhood(np.zeros(d))
+        assert built == []
+        assert scanned == [regressor._store, estimator._store, estimator._store]
+        # the Gram path caches the store's squared norms; the kernel path never reads them
+        assert ("norms" in vars(estimator._store)) == (d >= neighbors._GRAM_MIN_DIM)
+        scanned.clear()
+        bandwidth_cv_scores(features, data.target, BandwidthSearch(folds=3))
+        assert len(built) == 3
+        assert scanned == built  # one distance pass per fold, over its own store
+        # each store holds its own contiguous coordinate rows: the kNN rows in
+        # file order, the estimator's in value order
+        for store in [regressor._store, estimator._store, *built]:
+            assert store.cols.flags.c_contiguous
+        assert not np.shares_memory(regressor._store.cols, regressor.train_features)
+        assert regressor._store.cols.tobytes() == regressor.train_features.T.tobytes()
+        by_value = np.argsort(estimator.values, kind="stable")
+        assert estimator._order.tobytes() == by_value.tobytes()
+        assert estimator._store.cols.tobytes() == estimator.points[by_value].T.tobytes()
+
+
+GRAM = neighbors._GRAM_MIN_DIM
+# integer lattices scaled to thousandths, to near underflow, and to squared
+# norms on either side of the Gram path's limit; then shifted by 1e6, where
+# cancellation in |q|² + |p|² - 2 q·p fills the band
+SCALES = (1.0, 1e-3, 1e-160, 1e150, 1e154)
+OFFSETS = (0.0, 1e6, -1e6)
+
+
+@st.composite
+def ball_cases(draw):
+    """(points, queries, min_count): lattice points, one duplicated, with d
+    on both sides of the Gram dimension and ``min_count`` up to n + 3."""
+    d = draw(st.sampled_from([1, GRAM - 1, GRAM, GRAM + 7]))
+    n = draw(st.integers(1, 10))
+    rows = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    points = np.array(draw(st.lists(rows, min_size=n, max_size=n)), dtype=float)
+    points = np.vstack([points, points[:1]])
+    queries = np.array(draw(st.lists(rows, min_size=1, max_size=8)), dtype=float)
+    scale, offset = draw(st.sampled_from(SCALES)), draw(st.sampled_from(OFFSETS))
+    return points * scale + offset, queries * scale + offset, draw(st.integers(1, n + 4))
+
+
+def assert_ball_step_equals_full_scan(points, queries, radii, min_count, errors):
+    """Every block of the ball step, per radius, joined in row order, equals
+    ``block_balls`` over the plain numpy distances, bit for bit; under
+    ``errors`` (an errstate), the step raises exactly when that scan does."""
+    store = neighbors.KeySortedPoints(points)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(**errors):
+        mp.setattr(neighbors, "_BLOCK_BUDGET", 3 * points.size)  # blocks of 3 rows
+        try:
+            dists = np.sqrt(((queries[:, None] - points[None]) ** 2).sum(axis=2))
+            want = [neighbors.block_balls(dists, r, min_count) for r in radii]
+        except FloatingPointError:
+            want = None
+        try:
+            got = list(neighbors.ball_blocks(queries, store, radii, min_count))
+        except FloatingPointError:
+            got = None
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    assert [rows.start for rows, i, _ in got if i == 0] == list(range(0, len(queries), 3))
+    for i, whole in enumerate(want):
+        blocks = [balls for _, j, balls in got if j == i]
+        for parts, part_whole in zip(zip(*blocks), whole):
+            joined = np.concatenate(parts)
+            assert joined.dtype == part_whole.dtype
+            assert joined.tobytes() == part_whole.tobytes(), (radii[i], min_count)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ball_cases(),
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=3),
+    st.sampled_from([-1, 0, 1]),
+    st.booleans(),
+)
+def test_ball_step_equals_block_balls_over_the_full_scan(case, picks, step, strict):
+    # radii at exact distances of the sample, or the neighbouring float,
+    # put pairs on the boundary; 0 and inf are always among them
+    points, queries, min_count = case
+    with np.errstate(all="ignore"):
+        dists = np.sqrt(((queries[:, None] - points[None]) ** 2).sum(axis=2))
+    finite = np.unique(dists[np.isfinite(dists)])
+    radii = [0.0, math.inf]
+    for pick in picks if finite.size else ():
+        radius = float(finite[pick % finite.size])
+        radii.append(max(float(np.nextafter(radius, step * math.inf)), 0.0) if step else radius)
+    errors = {"over": "raise", "invalid": "raise"} if strict else {"all": "ignore"}
+    assert_ball_step_equals_full_scan(points, queries, radii, min_count, errors)
+
+
+@pytest.mark.parametrize("d", [GRAM, 12, 20])
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_gram_band_pairs_take_the_kernel(monkeypatch, d, offset):
+    # a lattice with many pairs exactly at each radius, one of the sample's
+    # distances: the pairs the band cannot decide go through the kernel, one
+    # query row per stored point, and the balls still equal the full scan's;
+    # at 1e6 the band holds many
+    rng = np.random.default_rng(d)
+    points = rng.integers(-2, 3, size=(40, d)).astype(float) + offset
+    queries = rng.integers(-2, 3, size=(11, d)).astype(float) + offset
+    dists = np.unique(np.sqrt(((queries[:, None] - points[None]) ** 2).sum(axis=2)))
+    radii = [0.0, *np.quantile(dists, [0.1, 0.3, 0.5], method="lower").tolist(), math.inf]
+    refined, grams, inner, gram = [], [], neighbors._distances, neighbors._gram_block
+
+    def recorded(queries, cols):
+        if cols.ndim == 3:
+            refined.append(cols.shape[1])
+        return inner(queries, cols)
+
+    def recorded_gram(queries, store):
+        grams.append(gram(queries, store))
+        return grams[-1]
+
+    monkeypatch.setattr(neighbors, "_distances", recorded)
+    monkeypatch.setattr(neighbors, "_gram_block", recorded_gram)
+    for min_count in (1, 3, 41):
+        assert_ball_step_equals_full_scan(points, queries, radii, min_count, {})
+    assert grams and all(g is not None for g in grams)
+    assert sum(refined) > 0
+
+
+def test_huge_coordinates_take_the_kernel_and_raise_there():
+    # squared norms at or above the limit send a block to the kernel, which
+    # raises where the full scan raises, with its own message: here every
+    # norm is finite, but 1e154 - (-1e154) squared is not, and the Gram
+    # estimate would only read that pair as out of every ball
+    points = np.zeros((4, GRAM))
+    points[:, 0] = [-1e154, 1e154, 0.5, 1.0]
+    store = neighbors.KeySortedPoints(points)
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(FloatingPointError, match="overflow encountered in square"):
+            list(neighbors.ball_blocks(points, store, [1.0], 1))
+        assert neighbors._gram_block(points[2:], store) is None  # the store's norms decide
+    assert np.isfinite(store.norms).all()
 
 
 def wide_key_sample(n, d, seed):

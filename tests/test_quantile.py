@@ -352,16 +352,16 @@ class TestOnePassSweep:
 
 def test_cv_makes_one_distance_pass_per_fold(monkeypatch):
     passes = []
-    inner = neighbors._distance_blocks
+    inner = neighbors.ball_blocks
 
-    def counted(queries, store, k=0):
+    def counted(queries, store, radii, min_count):
         passes.append(queries.shape[0])
-        return inner(queries, store, k)
+        return inner(queries, store, radii, min_count)
 
     def no_estimator(self):
         raise AssertionError("bandwidth CV constructed a QuantileEstimator")
 
-    monkeypatch.setattr(neighbors, "_distance_blocks", counted)
+    monkeypatch.setattr(neighbors, "ball_blocks", counted)
     monkeypatch.setattr(QuantileEstimator, "__post_init__", no_estimator)
     rng = np.random.default_rng(0)
     cands, _ = bandwidth_cv_scores(
@@ -373,23 +373,28 @@ def test_cv_makes_one_distance_pass_per_fold(monkeypatch):
 
 def test_one_distance_block_alive_at_a_time(monkeypatch):
     # a block still bound to a loop variable while the kernel builds the
-    # next one doubles the peak; both the estimator and CV drop it first
-    points = np.linspace(0.0, 3.0, 3000)[:, None]
-    values = np.sin(points[:, 0] * 7.0)
-    rows = 300
-    monkeypatch.setattr(neighbors, "_BLOCK_BUDGET", rows * 1500)
-    block_bytes = rows * 1500 * 8
-    # radii that hold a few points each, so no row widens (widening copies rows)
-    est = QuantileEstimator.fit(points[::2], values[::2], KernelConfig(0.0011))
-    search = BandwidthSearch(candidates=(0.005, 0.01), folds=2, tau_grid=TauGrid([0.5]))
-    for run in (
-        lambda: est.predict_quantile_batch(points[1::2], [0.5]),
-        lambda: bandwidth_cv_scores(points, values, search),
-    ):
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert block_bytes < peak < 1.5 * block_bytes
+    # next one doubles the peak; both the estimator and CV drop it first.
+    # From the Gram dimension on the block is the Gram block, here on points
+    # along the diagonal at the 1-d line's spacing; the sample's own copies
+    # grow with d, so d stays at that dimension
+    for d in (1, neighbors._GRAM_MIN_DIM):
+        points = np.linspace(0.0, 3.0, 3000)[:, None] * np.full(d, 1.0 / math.sqrt(d))
+        values = np.sin(points[:, 0] * 7.0)
+        rows = 300
+        monkeypatch.setattr(neighbors, "_BLOCK_BUDGET", rows * 1500 * d)
+        block_bytes = rows * 1500 * 8
+        # radii that hold a few points each, so no row widens (widening copies rows)
+        est = QuantileEstimator.fit(points[::2], values[::2], KernelConfig(0.0011))
+        search = BandwidthSearch(candidates=(0.005, 0.01), folds=2, tau_grid=TauGrid([0.5]))
+        for run in (
+            lambda: est.predict_quantile_batch(points[1::2], [0.5]),
+            lambda: bandwidth_cv_scores(points, values, search),
+        ):
+            run()  # modules numpy imports on a first call are not a block
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert block_bytes < peak < 1.5 * block_bytes, d

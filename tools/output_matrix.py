@@ -25,6 +25,11 @@ byte order mark and has blank lines between its CRLF-ended rows, which
 ``np.loadtxt`` reads; ``slow`` quotes some cells, writes others with a digit
 separator (``0.1_25``) and has whitespace-only lines, which only the per-cell
 loop reads.
+Last, four OLS models with no projection on a 1 200-row ``sine_hetero`` CSV
+with eleven nuisance columns, so the estimator's balls are 12-d and take
+their members from the Gram block: ``--bandwidth 3`` and ``auto``, each
+with ``--min-neighbors`` 1 and 3, each followed by ``predict --taus
+0.05,0.5,0.95`` on a 600-row CSV and ``evaluate --output-curve``.
 
 OUTDIR receives every file the commands write, ``commands.log`` with each
 command, its printed output and its exit code, and a sorted ``SHA256SUMS``.
@@ -69,6 +74,11 @@ WIDE_MODELS = {
     "knn-none-h0.3": [*KNN_20, "--bandwidth", "0.3"],
     "knn-correlation1-h0.05": [*KNN_20, *ONE_COLUMN, "--bandwidth", "0.05"],
     "knn-correlation1-hauto": [*KNN_20, *ONE_COLUMN, "--bandwidth", "auto"],
+}
+D12_MODELS = {
+    f"ols-none-h{h}-k{k}": ["--bandwidth", h, "--min-neighbors", k]
+    for h in ("3", "auto")
+    for k in MIN_NEIGHBORS
 }
 
 
@@ -134,22 +144,7 @@ def run_matrix(log: list[str]) -> None:
         "--regressor", "knn", "--knn-k", "7", "--projection", "correlation",
         "--projection-dim", "2", "--seed", "6",
     )
-    for name, n, seed in (("wide-train.csv", 2400, 7), ("wide-test.csv", 2000, 8)):
-        save_csv(generate(GeneratorSpec("sine_hetero", n, seed=seed, nuisance_dims=3)), name)
-    for name, flags in WIDE_MODELS.items():
-        _run(
-            log, "calibrate", "--input", "wide-train.csv", "--target", "y",
-            "--output", f"wide-{name}.model.json", "--seed", "9", *flags,
-        )
-        _run(
-            log, "predict", "--model", f"wide-{name}.model.json", "--input", "wide-test.csv",
-            "--output", f"wide-{name}.taus.csv", "--taus", "0.05,0.5,0.95",
-        )
-        _run(
-            log, "evaluate", "--model", f"wide-{name}.model.json", "--input", "wide-test.csv",
-            "--output-json", f"wide-{name}.report.json", "--output-curve", f"wide-{name}.curve.csv",
-            "--group-column", "x", "--group-bins", "5", "--seed", "4",
-        )
+    _sine_models(log, "wide", 2400, 2000, 3, WIDE_MODELS)
     for path in ("fast", "slow"):
         for name in ("train", "test"):
             _rewritten(f"{name}.csv", f"{path}-{name}.csv", path)
@@ -165,6 +160,30 @@ def run_matrix(log: list[str]) -> None:
             log, "evaluate", "--model", f"{path}.model.json", "--input", f"{path}-test.csv",
             "--output-json", f"{path}.report.json", "--output-curve", f"{path}.curve.csv",
             "--group-column", "x1", "--group-bins", "3", "--seed", "4",
+        )
+    _sine_models(log, "d12", 1200, 600, 11, D12_MODELS)
+
+
+def _sine_models(log: list[str], prefix: str, n_train: int, n_test: int, nuisance: int, models) -> None:
+    """``sine_hetero`` train and test CSVs with ``nuisance`` extra columns,
+    then calibrate, predict and evaluate for each model's flags."""
+    train, test = f"{prefix}-train.csv", f"{prefix}-test.csv"
+    for name, n, seed in ((train, n_train, 7), (test, n_test, 8)):
+        save_csv(generate(GeneratorSpec("sine_hetero", n, seed=seed, nuisance_dims=nuisance)), name)
+    for name, flags in models.items():
+        model = f"{prefix}-{name}.model.json"
+        _run(
+            log, "calibrate", "--input", train, "--target", "y",
+            "--output", model, "--seed", "9", *flags,
+        )
+        _run(
+            log, "predict", "--model", model, "--input", test,
+            "--output", f"{prefix}-{name}.taus.csv", "--taus", "0.05,0.5,0.95",
+        )
+        _run(
+            log, "evaluate", "--model", model, "--input", test,
+            "--output-json", f"{prefix}-{name}.report.json", "--output-curve", f"{prefix}-{name}.curve.csv",
+            "--group-column", "x", "--group-bins", "5", "--seed", "4",
         )
 
 
