@@ -53,26 +53,42 @@ shorter than today's (see ROADMAP.md).
 Balls from a Gram block. A ball needs to know only which stored points have
 ``dist <= h``. :func:`ball_blocks` gives the estimator, its neighborhoods and
 bandwidth CV their balls, block by block and radius by radius. Over stores
-of fewer than ``_GRAM_MIN_DIM`` coordinates it compares the kernel's
-distances, as above. From there on it takes, for the block's queries q and
-every stored point p, ``s = |q|² + |p|² - 2 q·p`` from one matrix product
+of fewer than ``_GRAM_MIN_DIM`` = 5 coordinates it compares the kernel's
+distances, as above. From there on, in blocks of at least ``_GRAM_MIN_ROWS``
+= 3 rows, and in any block from ``_GRAM_FEW_DIM`` = 8 coordinates on (below
+that one or two rows do not repay the Gram block's fixed cost), it takes,
+for the block's queries q and every stored point p,
+``s = |q|² + |p|² - 2 q·p`` from one matrix product
 ``(-2 q) @ cols`` and the squared norms (the store caches its own), and with
 ``band = 4 (d + 8) u (max |q|² + max |p|² + 2**-960 + h²)`` over the block,
 u = 2**-53, a pair with
 
 - ``s <= h² - band`` is in the ball,
 - ``s > h² + band`` is out,
-- anything else, NaN included (it compares false both ways), gets the
-  kernel's own distance, ``sqrt`` of its squared sum, compared with h.
+- anything else gets the kernel's own distance, ``sqrt`` of its squared
+  sum, compared with h.
 
 Rows that widen to ``min_neighbors`` take the kernel's distances to every
-stored point. So counts, radii and members are the full scan's, bit for bit.
-A block whose squared norms are not all below ``_GRAM_NORM_LIMIT`` = 2**1000,
-and a radius whose ``h² + band`` is not, take the kernel's distances
-throughout: it raises or warns on overflow exactly as the full scan does.
-Below the limit every coordinate is under 2**500.01, so no product, norm,
-kernel square or sum overflows (d < 2**21), and the Gram arithmetic itself
-runs with floating-point errors ignored.
+stored point, each row once per block whatever the radii. So counts, radii
+and members are the full scan's, bit for bit. An infinite radius holds every
+pair of a Gram block, whose kernel distances are all finite. A block whose
+squared norms are not all below ``_GRAM_NORM_LIMIT`` = 2**1000, and a call
+with a finite radius above ``_GRAM_MAX_RADIUS`` = 2**499, take the kernel's
+distances throughout: it raises or warns on overflow exactly as the full
+scan does. Below the limit every coordinate is under 2**500.01, so no
+product, norm, kernel square or sum overflows (d < 2**21), h² + band stays
+below the limit, and the Gram arithmetic itself runs with floating-point
+errors ignored.
+
+The Gram block saves the kernel's work on the rows that do not widen; a row
+that widens pays for both. So a store remembers whether most rows of its
+last block widened at the block's first radius (h = 0, or a small h, with
+``min_neighbors`` above 1 widens nearly every row), and its next block then
+takes the kernel's distances; a block whose rows mostly do not widen sends
+the next one back to the Gram block. The CV folds share that memory. The
+path never changes a result. In a run of the benchmark's ``ols_auto_d20``
+none of 24 717 prediction rows widened, and 4 of 6 300 CV rows did, at the
+smallest candidate.
 
 Why the band holds. Write Q = |q|², P = |p|², S = Σ (q_i - p_i)², all
 exact, K for the kernel's squared sum, γ_k = k u / (1 - k u) and η = 2**-1074
@@ -115,17 +131,24 @@ _BLOCK_BUDGET = 500_000
 _FULL_SCAN_SHARE = 0.5
 # numpy's pairwise summation: 8 accumulators up to this many terms, halves above
 _PAIRWISE_BLOCK = 128
-# balls over stores of at least this many coordinates start from a Gram block.
-# 2 000 queries x 2 000 points, 3 levels, balls of a fifth of the points:
-# direct 24 / 32 / 49 / 57 / 151 ms at d = 1 / 2 / 4 / 5 / 20, Gram 30 / 20 /
-# 19 / 20 / 22 ms. One query against 1 500 points: direct 58 / 41 / 43 / 48 /
-# 92 µs, Gram 81 / 48 / 46 / 46 / 48 µs; against 400 points at d = 4, 67
-# against 70 µs. From d = 5 on neither a batch nor a lone query is slower.
+# ball blocks over stores of at least _GRAM_MIN_DIM coordinates start from a
+# Gram block, except blocks of fewer than _GRAM_MIN_ROWS rows below
+# _GRAM_FEW_DIM coordinates. 2 000 queries x 2 000 points, 3 levels, balls of
+# a fifth of the points: direct 24 / 32 / 49 / 57 / 151 ms at d = 1 / 2 / 4 /
+# 5 / 20, Gram 30 / 20 / 19 / 20 / 22 ms. Rows of a block against 1 500
+# points, direct / Gram µs: d = 5, 1 row 53 / 60, 2 rows 81 / 83, 3 rows
+# 113 / 91; d = 6, 60 / 63, 66 / 64, 99 / 68; d = 7, 86 / 82; one row at d =
+# 8 / 10 / 20, 101 / 95, 73 / 61, 95 / 58. Against 400 points: d = 5, 3 rows
+# 80 / 83, 5 rows 85 / 84; d = 6, 3 rows 87 / 84; d = 7, 2 rows 56 / 58, 3
+# rows 63 / 56; one row at d = 8, 50 / 48.
 _GRAM_MIN_DIM = 5
+_GRAM_MIN_ROWS = 3
+_GRAM_FEW_DIM = 8
 _UNIT_ROUNDOFF = 2.0**-53
-# squared norms, and h² plus the band, below this keep every Gram product,
-# band and kernel sum finite
+# squared norms below this keep every Gram product, band and kernel sum finite
 _GRAM_NORM_LIMIT = 2.0**1000
+# finite radii up to this keep h² + band below the norm limit
+_GRAM_MAX_RADIUS = 2.0**499
 # added to the band's scale, far above any error from underflow
 _BAND_FLOOR = 2.0**-960
 
@@ -179,10 +202,13 @@ class KeySortedPoints:
     of any (n, d) matrix, so each coordinate row is contiguous. The key
     coordinate and the points' stable order along it are built when a scan
     first takes slabs, so a model that answers one query at a time never
-    sorts; the squared norms, when a ball step first takes a Gram block."""
+    sorts; the squared norms, when a ball step first takes a Gram block.
+    ``widening`` tells whether most rows of the last ball block widened, so
+    the next skips the Gram block (see :func:`ball_blocks`)."""
 
     def __init__(self, points: np.ndarray) -> None:
         self.cols = np.array(points.T, order="C")
+        self.widening = False
 
     @cached_property
     def key(self) -> int:
@@ -372,26 +398,19 @@ def _gram_block(queries: np.ndarray, store: KeySortedPoints) -> tuple[np.ndarray
     return s, float(top_q) + float(top_p) + _BAND_FLOOR
 
 
-def _gram_balls(
-    gram: tuple[np.ndarray, float],
-    queries: np.ndarray,
-    store: KeySortedPoints,
-    radius: float,
-    min_count: int,
-) -> tuple[np.ndarray, ...]:
-    """:func:`block_balls` over the kernel's distances, decided from the Gram
-    block where the band allows and by the kernel elsewhere; see the module
-    docstring."""
+def _gram_inside(
+    gram: tuple[np.ndarray, float], queries: np.ndarray, store: KeySortedPoints, radius: float
+) -> np.ndarray:
+    """The block's ``dists <= radius`` over the kernel's distances, decided
+    from the Gram block where the band allows and by the kernel elsewhere;
+    see the module docstring."""
     s, scale = gram
-    d = queries.shape[1]
-    h2 = float(radius) * float(radius)  # Python floats: an overflow gives inf
-    band = 4.0 * (d + 8) * _UNIT_ROUNDOFF * (scale + h2)
-    low, high = h2 - band, h2 + band
-    if not high < _GRAM_NORM_LIMIT:  # inf, or too wide to bound: every pair by the kernel
-        return block_balls(_distances(queries, store.cols), radius, min_count)
-    inside = s <= low
-    unsure = s > high
-    np.logical_not(unsure, out=unsure)  # NaN compares false both ways: unsure
+    if radius == np.inf:  # below the norm limit every kernel distance is finite
+        return np.ones(s.shape, dtype=bool)
+    h2 = float(radius) * float(radius)
+    band = 4.0 * (queries.shape[1] + 8) * _UNIT_ROUNDOFF * (scale + h2)
+    inside = s <= h2 - band
+    unsure = s <= h2 + band  # s is finite below the norm limit
     unsure ^= inside
     flat = unsure.ravel().nonzero()[0]
     if flat.size:
@@ -400,7 +419,25 @@ def _gram_balls(
         near = _distances(queries[at], store.cols[:, point, None])
         inside.ravel()[flat] = near[:, 0] <= radius
         del near
-    return _balls(inside, radius, min_count, lambda rows: _distances(queries[rows], store.cols))
+    return inside
+
+
+def _gram_near(queries: np.ndarray, store: KeySortedPoints):
+    """``near(rows)`` for :func:`_balls` on the Gram path: the rows' kernel
+    distances to every stored point, each row measured once per block,
+    whatever the radii."""
+    slot = np.full(queries.shape[0], -1)  # each row's place in ``known``, once measured
+    known = np.empty((0, store.cols.shape[1]))
+
+    def near(rows: np.ndarray) -> np.ndarray:
+        nonlocal known
+        new = rows[slot[rows] < 0]
+        if new.size:
+            slot[new] = np.arange(new.size) + known.shape[0]
+            known = np.concatenate((known, _distances(queries[new], store.cols)))
+        return known[slot[rows]]
+
+    return near
 
 
 def ball_blocks(
@@ -409,19 +446,36 @@ def ball_blocks(
     """``(rows, i, balls)`` for each block of queries and each ``radii[i]``:
     ``balls`` is ``block_balls(dists, radii[i], min_count)`` over the rows'
     kernel distances to every stored point, bit for bit. From
-    ``_GRAM_MIN_DIM`` coordinates on, a Gram block decides most pairs
-    without them (see the module docstring)."""
+    ``_GRAM_MIN_DIM`` coordinates on, a Gram block decides most pairs without
+    them, in blocks of enough rows and unless most rows of the store's last
+    block widened (see the module docstring)."""
     d, n = store.cols.shape
     step = max(1, _BLOCK_BUDGET // max(1, n * d))
+    # h² + band stays below the norm limit; past it the kernel decides
+    gram_path = d >= _GRAM_MIN_DIM and all(
+        r == np.inf or 0.0 <= r <= _GRAM_MAX_RADIUS for r in radii
+    )
+    # below _GRAM_FEW_DIM coordinates a block of few rows does not repay a Gram block
+    min_rows = 1 if d >= _GRAM_FEW_DIM else _GRAM_MIN_ROWS
     for start in range(0, queries.shape[0], step):
         rows = slice(start, start + step)
         block = queries[rows]
-        gram = _gram_block(block, store) if d >= _GRAM_MIN_DIM else None
-        # outside the Gram path's range the kernel raises or warns as it always has
-        dists = _distances(block, store.cols) if gram is None else None
+        eligible = gram_path and block.shape[0] >= min_rows
+        gram = _gram_block(block, store) if eligible and not store.widening else None
+        if gram is None:
+            # outside the Gram path's range the kernel raises or warns as it always has
+            dists, near = _distances(block, store.cols), None
+        else:
+            dists, near = None, _gram_near(block, store)
         for i, radius in enumerate(radii):
             if gram is None:
-                yield rows, i, block_balls(dists, radius, min_count)
+                balls = block_balls(dists, radius, min_count)
             else:
-                yield rows, i, _gram_balls(gram, block, store, radius, min_count)
-        del gram, dists  # before the next block is built
+                balls = _balls(_gram_inside(gram, block, store, radius), radius, min_count, near)
+            if eligible and not i:
+                # a widened row gains nothing from the Gram block; where most of
+                # this block's rows widen, the store's next block skips it
+                store.widening = 2 * np.count_nonzero(balls[1] != radius) > balls[1].shape[0]
+            yield rows, i, balls
+            del balls
+        del gram, dists, near  # before the next block is built

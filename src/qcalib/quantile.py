@@ -14,10 +14,12 @@ Balls come from one step of :mod:`qcalib.neighbors`,
 sorted once at construction into the estimator's one store; a block's balls
 become quantiles as ranks, then values. Single-query methods are batches of
 one, and a neighborhood is a ball of that same store, mapped back to file
-order. From ``neighbors._GRAM_MIN_DIM`` (5) coordinates on, the step decides
+order. From ``neighbors._GRAM_MIN_DIM`` (5) coordinates on, in blocks of
+three or more rows (of any size from 8 coordinates on), the step decides
 most pairs from a matrix product, ``|q|² + |p|² - 2 q·p``, and a rounding
 band around h² that holds for any summation order; the pairs inside the band
-and the rows that widen take the kernel's own distances. So every ball, and
+and the rows that widen take the kernel's own distances, and a store whose
+last block mostly widened takes them for its next block. So every ball, and
 every quantile, is the full scan's bit for bit (the argument is in
 :mod:`qcalib.neighbors`).
 
@@ -27,7 +29,9 @@ computed by the kernel's pair pass. The sample is sorted by value once; each
 fold keeps its points in that order (a stable sort's subset is the stable
 sort of the subset), builds one store of them and makes one pass of the ball
 step from its held-out rows with every candidate radius, so all candidates
-read the same distance or Gram blocks.
+read the same distance or Gram blocks, and the kernel measures a held-out
+row at most once per fold. The folds pass on their store's memory of
+widened blocks.
 """
 
 from __future__ import annotations
@@ -260,14 +264,17 @@ def bandwidth_cv_scores(points, values, search: BandwidthSearch) -> tuple[np.nda
     points_by_value, values_by_value = points[order], values[order]
 
     fold_losses = np.empty((candidates.shape[0], search.folds))
+    widening = False
     for fi, held_out in enumerate(_cv_folds(n, search.folds, search.seed)):
         keep = np.isin(order, held_out, invert=True)  # the kept points, in value order
         kept_values = values_by_value[keep]
         preds = np.empty((candidates.shape[0], held_out.shape[0], levels.shape[0]))
         kept = neighbors.KeySortedPoints(points_by_value[keep])
+        kept.widening = widening  # the folds share their traffic
         for rows, ci, balls in neighbors.ball_blocks(points[held_out], kept, radii, 1):
             preds[ci, rows] = _ball_quantiles(balls, kept_values, levels)
             del balls  # before the next block or candidate is built
+        widening = kept.widening
         observed = values[held_out][:, None]
         for ci, fold_preds in enumerate(preds):
             fold_losses[ci, fi] = pinball_loss(fold_preds, observed, levels[None, :]).mean()

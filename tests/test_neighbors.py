@@ -340,6 +340,87 @@ def test_huge_coordinates_take_the_kernel_and_raise_there():
     assert np.isfinite(store.norms).all()
 
 
+def recorded_kernel(monkeypatch):
+    """Rows per call of the kernel over every stored point, pairs per call
+    of the kernel over gathered pairs, and rows per Gram block built."""
+    full, pairs, grams = [], [], []
+    inner, gram = neighbors._distances, neighbors._gram_block
+
+    def recorded(queries, cols):
+        (full if cols.ndim == 2 else pairs).append(queries.shape[0])
+        return inner(queries, cols)
+
+    def recorded_gram(queries, store):
+        grams.append(queries.shape[0])
+        return gram(queries, store)
+
+    monkeypatch.setattr(neighbors, "_distances", recorded)
+    monkeypatch.setattr(neighbors, "_gram_block", recorded_gram)
+    return full, pairs, grams
+
+
+def test_gram_path_measures_a_widened_row_once_whatever_the_radii(monkeypatch):
+    # every row widens at every radius; the kernel measures each row once
+    rng = np.random.default_rng(0)
+    points, queries = rng.normal(size=(30, GRAM)), rng.normal(size=(10, GRAM))
+    radii = [0.0, 1e-3, 1e-2]
+    full, _, grams = recorded_kernel(monkeypatch)
+    list(neighbors.ball_blocks(queries, neighbors.KeySortedPoints(points), radii, 3))
+    assert grams == [10] and full == [10]  # one block: each row once, not once per radius
+    del full[:], grams[:]
+    # in blocks of 3 rows, the first block's rows all widen, so the later
+    # blocks skip the Gram block
+    assert_ball_step_equals_full_scan(points, queries, radii, 3, {})
+    assert grams == [3] and full == [3, 3, 3, 1]
+
+
+def test_store_whose_rows_widen_skips_the_gram_block(monkeypatch):
+    # a lone query that widens pays the Gram block and the kernel; after it
+    # the store's queries take the kernel alone, until one does not widen
+    d = neighbors._GRAM_FEW_DIM  # where a lone query takes the Gram path
+    rng = np.random.default_rng(1)
+    points = np.vstack([rng.normal(size=(40, d)), np.zeros((3, d))])
+    est = QuantileEstimator.fit(points, rng.normal(size=43), KernelConfig(0.0, 3))
+    _, _, grams = recorded_kernel(monkeypatch)
+    seen = []
+    for x in (rng.normal(size=d), rng.normal(size=d), np.zeros(d), rng.normal(size=d)):
+        del grams[:]
+        widened = est.neighborhood(x).effective_h > 0
+        seen.append((widened, bool(grams), est._store.widening))
+    # (the query widened, a Gram block was built, the store's next block skips it)
+    yes, no = True, False
+    assert seen == [(yes, yes, yes), (yes, no, yes), (no, no, no), (yes, yes, yes)]
+
+
+def test_blocks_of_few_rows_take_the_gram_block_from_more_coordinates(monkeypatch):
+    # one or two rows repay a Gram block only from _GRAM_FEW_DIM coordinates
+    # on, three or more from _GRAM_MIN_DIM on
+    rng = np.random.default_rng(3)
+    full, _, grams = recorded_kernel(monkeypatch)
+    for d in (GRAM, neighbors._GRAM_FEW_DIM - 1, neighbors._GRAM_FEW_DIM):
+        points = rng.normal(size=(30, d))
+        for rows in (1, 2, 3):
+            del full[:], grams[:]
+            store = neighbors.KeySortedPoints(points)
+            list(neighbors.ball_blocks(rng.normal(size=(rows, d)), store, [9.0], 1))
+            gram = rows >= neighbors._GRAM_MIN_ROWS or d >= neighbors._GRAM_FEW_DIM
+            assert (grams, full) == (([rows], []) if gram else ([], [rows])), (d, rows)
+
+
+def test_infinite_and_huge_radii(monkeypatch):
+    # an infinite radius holds every pair of a Gram block without the kernel;
+    # a finite radius past 2**499 sends the whole call to the kernel
+    rng = np.random.default_rng(2)
+    points, queries = rng.normal(size=(30, GRAM)), rng.normal(size=(6, GRAM))
+    full, pairs, grams = recorded_kernel(monkeypatch)
+    assert_ball_step_equals_full_scan(points, queries, [math.inf], 1, {})
+    assert grams == [3, 3] and full == pairs == []
+    for radius, gram in ((2.0**499, True), (np.nextafter(2.0**499, math.inf), False)):
+        del full[:], grams[:]
+        assert_ball_step_equals_full_scan(points, queries, [5.0, radius], 1, {})
+        assert bool(grams) == gram and bool(full) != gram
+
+
 def wide_key_sample(n, d, seed):
     """Coordinate 0 spread over [0, 15], the others over [0, 1], as in
     ``sine_hetero`` with nuisance columns: a slab holds a few percent."""

@@ -371,6 +371,37 @@ def test_cv_makes_one_distance_pass_per_fold(monkeypatch):
     assert passes == [40] * 5  # one pass per fold, not one per (candidate, fold)
 
 
+@pytest.mark.parametrize("count", [2, 6])
+def test_cv_measures_each_row_once_per_fold_when_rows_widen(monkeypatch, count):
+    # candidates far below every distance widen every held-out row at every
+    # radius; at the Gram dimension the kernel still measures each held-out
+    # row once per fold, as the kernel's own pass does, whatever the number
+    # of candidates. The first fold's rows widen, so the others skip the
+    # Gram block.
+    full, grams = [], []
+    inner, gram = neighbors._distances, neighbors._gram_block
+
+    def recorded(queries, cols):
+        if cols.ndim == 2:
+            full.append(queries.shape[0])
+        return inner(queries, cols)
+
+    def recorded_gram(queries, store):
+        grams.append(queries.shape[0])
+        return gram(queries, store)
+
+    monkeypatch.setattr(neighbors, "_distances", recorded)
+    monkeypatch.setattr(neighbors, "_gram_block", recorded_gram)
+    rng = np.random.default_rng(0)
+    d = neighbors._GRAM_MIN_DIM
+    points, values = rng.normal(size=(200, d)), rng.normal(size=200)
+    search = BandwidthSearch(candidates=tuple(np.geomspace(1e-4, 1e-2, count)), seed=0)
+    _, scores = bandwidth_cv_scores(points, values, search)
+    assert full == [40] * 5 and grams == [40]  # one block per fold
+    monkeypatch.setattr(neighbors, "_GRAM_MIN_DIM", d + 1)
+    assert bandwidth_cv_scores(points, values, search)[1].tobytes() == scores.tobytes()
+
+
 def test_one_distance_block_alive_at_a_time(monkeypatch):
     # a block still bound to a loop variable while the kernel builds the
     # next one doubles the peak; both the estimator and CV drop it first.
