@@ -409,8 +409,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--taus", default="0.025,0.5,0.975")
-    p.add_argument("--alpha", type=float, default=None, help="central interval instead of --taus")
+    levels = p.add_mutually_exclusive_group()
+    levels.add_argument("--taus", default="0.025,0.5,0.975")
+    levels.add_argument("--alpha", type=float, default=None, help="central interval instead of --taus")
     p.set_defaults(handler=_cmd_predict)
 
     p = sub.add_parser("evaluate", parents=[common], allow_abbrev=False, help="score a model on labeled CSV data")

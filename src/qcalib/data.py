@@ -27,8 +27,6 @@ __all__ = [
     "DatasetError",
     "SplitSpec",
     "Standardizer",
-    "apply_standardizer",
-    "fit_standardizer",
     "load_csv",
     "read_numeric_csv",
     "save_csv",
@@ -356,8 +354,7 @@ class Standardizer:
     """Per-column affine map to zero mean and unit spread.
 
     Spread is the population standard deviation (denominator n). Constant
-    columns carry no scale information and are mapped to zero; their inverse
-    restores the stored mean.
+    columns carry no scale information and are mapped to zero.
     """
 
     means: np.ndarray
@@ -385,35 +382,12 @@ class Standardizer:
 
     def transform(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        self._check_width(xs)
+        if xs.shape[-1] != self.d:
+            raise DatasetError(
+                f"matrix has {xs.shape[-1]} columns, standardizer expects {self.d}"
+            )
         out = (xs - self.means) / self._scale
         if self._constant.size:
             out[..., self._constant] = 0.0
         return out
 
-    def inverse(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        self._check_width(xs)
-        # constant columns were zeroed, so the inverse is just the mean there
-        return xs * np.where(self.stddevs > 0, self.stddevs, 0.0) + self.means
-
-    def _check_width(self, xs: np.ndarray) -> None:
-        if xs.shape[-1] != self.d:
-            raise DatasetError(
-                f"matrix has {xs.shape[-1]} columns, standardizer expects {self.d}"
-            )
-
-
-def fit_standardizer(data: Dataset) -> Standardizer:
-    """Column means and population stddevs of the dataset's features."""
-    return Standardizer.from_features(data.features)
-
-
-def apply_standardizer(standardizer: Standardizer, data: Dataset) -> Dataset:
-    """Dataset with standardized features; the target is left untouched."""
-    return Dataset(
-        standardizer.transform(data.features),
-        data.target,
-        data.feature_names,
-        data.target_name,
-    )

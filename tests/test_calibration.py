@@ -84,12 +84,10 @@ class TestPipelineMechanics:
         model = calibrate(data, cfg)
         stored = model.quantile_estimator.points
         assert stored.shape[0] == 20
-        # stored points are standardized calibration features; reconstruct
-        # and check none of them came from the regressor's training rows
-        raw = model.standardizer.inverse(stored)
-        train_x = set(model.regressor.train_features[:, 0].tolist())
-        cal_x = {float(v) for v in raw[:, 0]}
-        assert not (train_x & {round(v, 9) for v in cal_x})
+        # stored points are standardized calibration features; the training
+        # rows, standardized the same way, match none of them bit for bit
+        train_z = model.standardizer.transform(model.regressor.train_features)
+        assert not {row.tobytes() for row in train_z} & {row.tobytes() for row in stored}
 
     def test_quantile_features_are_standardized(self):
         data = generate(GeneratorSpec("sine_hetero", 60, seed=1))

@@ -323,6 +323,35 @@ class TestPredict:
         x0, lo, hi = (float(v) for v in lines[1].split(","))
         assert (lo, hi) == model.predict_interval([x0], 0.1)
 
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--taus", "0.1,0.9", "--alpha", "0.5"], ""),
+            (["--alpha", "0.5"], "taus = 0.1,0.9\n"),
+            (["--taus", "0.1,0.9"], "alpha = 0.5\n"),
+            ([], "taus = 0.1,0.9\nalpha = 0.5\n"),
+        ],
+        ids=["both_flags", "taus_in_config", "alpha_in_config", "both_in_config"],
+    )
+    def test_taus_and_alpha_exclude_each_other(
+        self, tmp_path, train_csv, test_csv, capsys, flags, config
+    ):
+        model_path = run_calibrate(tmp_path, train_csv)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "preds.csv"
+        argv = ["predict", "--model", str(model_path), "--input", str(test_csv), "--output", str(out)]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(cfg), *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--taus" in err and "--alpha" in err, err
+        assert not out.exists()
+        # with neither flag the levels stay the default three
+        assert main([*argv]) == 0
+        assert out.read_text().splitlines()[0] == "x,q_0.025,q_0.5,q_0.975"
+
     def test_feature_only_input_accepted(self, tmp_path, train_csv):
         model_path = run_calibrate(tmp_path, train_csv)
         feats = tmp_path / "feats.csv"

@@ -17,8 +17,6 @@ from qcalib.data import (
     _sample,
     _write_csv,
     _write_json,
-    apply_standardizer,
-    fit_standardizer,
     load_csv,
     read_numeric_csv,
     save_csv,
@@ -354,25 +352,6 @@ class TestStandardizer:
         std = Standardizer.from_features(np.array([[5.0, 1.0], [5.0, 3.0]]))
         out = std.transform(np.array([[5.0, 2.0], [7.0, 2.0]]))
         assert out[:, 0].tolist() == [0.0, 0.0]
-
-    def test_inverse_round_trips(self):
-        rng = np.random.default_rng(2)
-        xs = rng.normal(3.0, 2.5, size=(40, 3))
-        std = Standardizer.from_features(xs)
-        np.testing.assert_allclose(std.inverse(std.transform(xs)), xs, atol=1e-12)
-
-    def test_inverse_of_constant_column_restores_mean(self):
-        std = Standardizer(means=[4.0], stddevs=[0.0])
-        out = std.inverse(np.array([[0.0], [1.0]]))
-        assert out[:, 0].tolist() == [4.0, 4.0]
-
-    def test_fit_on_dataset_and_apply(self):
-        ds = small_dataset(n=30, d=2, seed=8)
-        std = fit_standardizer(ds)
-        out = apply_standardizer(std, ds)
-        np.testing.assert_allclose(out.features.mean(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(out.features.std(axis=0), 1.0, atol=1e-12)
-        np.testing.assert_array_equal(out.target, ds.target)
 
     def test_width_mismatch(self):
         std = Standardizer(means=[0.0, 0.0], stddevs=[1.0, 1.0])

@@ -392,6 +392,55 @@ def test_store_whose_rows_widen_skips_the_gram_block(monkeypatch):
     assert seen == [(yes, yes, yes), (yes, no, yes), (no, no, no), (yes, yes, yes)]
 
 
+def test_store_memory_changes_no_answer(monkeypatch):
+    # the store's widening memory flips between calls and between blocks of
+    # one batch; every answer equals the same call on a fresh estimator
+    d = neighbors._GRAM_FEW_DIM  # where a lone query takes the Gram path
+    rng = np.random.default_rng(4)
+    points = np.vstack([rng.normal(size=(60, d)), np.zeros((3, d))])
+    values = rng.normal(size=63)
+    kernel, levels = KernelConfig(0.0, 3), [0.1, 0.5, 0.9]
+    est = QuantileEstimator.fit(points, values, kernel)
+    memory, inner = [], neighbors.ball_blocks
+
+    def recorded(queries, store, radii, min_count):
+        for item in inner(queries, store, radii, min_count):
+            if store is est._store:
+                memory.append(bool(store.widening))
+            yield item
+
+    monkeypatch.setattr(neighbors, "ball_blocks", recorded)
+
+    def same_on_fresh(call, x):
+        warm, fresh = call(est, x), call(QuantileEstimator.fit(points, values, kernel), x)
+        if isinstance(warm, np.ndarray):
+            assert warm.tobytes() == fresh.tobytes()
+        else:  # a neighborhood
+            assert warm.indices.tobytes() == fresh.indices.tobytes()
+            assert warm.effective_h == fresh.effective_h
+
+    quantiles = lambda e, x: e.predict_quantile_batch(x, levels)
+    neighborhood = lambda e, x: e.neighborhood(x)
+    origin = np.zeros(d)  # three stored copies: its ball of radius 0 does not widen
+    for call, x in [
+        (quantiles, rng.normal(size=(1, d))),
+        (neighborhood, rng.normal(size=d)),
+        (quantiles, origin[None]),
+        (neighborhood, rng.normal(size=d)),
+        (neighborhood, origin),
+        (quantiles, rng.normal(size=(1, d))),
+    ]:
+        same_on_fresh(call, x)
+    # blocks of 3 rows whose majority widens, or not, in turn
+    widens = [0, 0, 0, 1, 1, 1, 0, 0, 1, 1, 1, 0, 0, 0, 1, 1, 0, 1, 0, 1]
+    batch = np.array([rng.normal(size=d) if w else origin for w in widens])
+    monkeypatch.setattr(neighbors, "_BLOCK_BUDGET", 3 * points.size)
+    same_on_fresh(quantiles, batch)
+    flips = set(zip(memory, memory[1:]))
+    assert {(True, False), (False, True)} <= flips, memory
+    assert len(memory) == 6 + 7
+
+
 def test_blocks_of_few_rows_take_the_gram_block_from_more_coordinates(monkeypatch):
     # one or two rows repay a Gram block only from _GRAM_FEW_DIM coordinates
     # on, three or more from _GRAM_MIN_DIM on
