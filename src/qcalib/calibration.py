@@ -30,6 +30,7 @@ from .quantile import (
     KernelConfig,
     QuantileEstimator,
     _cv_winner,
+    _grid_sample,
     bandwidth_cv_scores,
 )
 from .regressors import FittedRegressor, RegressorSpec, fit_regressor, residuals
@@ -58,8 +59,11 @@ class CalibrationConfig:
     ``min_neighbors`` feeds the resulting kernel; beside a fixed kernel it
     must be 1 or the kernel's own). ``"auto"`` does not fail on degenerate
     calibration splits: identical feature rows take the marginal bandwidth
-    ``math.inf`` (every ball holds every point anyway), and fewer rows than
-    folds use one fold per row.
+    ``math.inf`` (every ball holds every point anyway), and so do rows whose
+    default grid would come from a subsample of identical rows (above 2000
+    calibration rows the grid reads a seeded 2000-row subsample, which can
+    miss the few distinct ones); fewer rows than folds use one fold per row.
+    ``config["kernel"]["cv"]["fallback"]`` of the saved model names the case.
     """
 
     regressor: RegressorSpec
@@ -136,7 +140,8 @@ class CalibratedModel:
         quantiles = self.quantile_estimator.predict_quantile_batch(
             self.transform_features(xs), taus
         )
-        return base[:, None] + quantiles
+        quantiles += base[:, None]
+        return quantiles
 
     def predict_interval(self, x, alpha: float) -> tuple[float, float]:
         """Central (1 - alpha) interval from the alpha/2 and 1 - alpha/2 quantiles."""
@@ -219,10 +224,15 @@ def _coordinates(xs, external_index, standardizer, projection) -> np.ndarray:
 
 def _cross_validate(z: np.ndarray, values: np.ndarray, search: BandwidthSearch):
     """The CV bandwidth and the record of its choice for ``config``."""
+    # rows all alike leave the default grid's pair distances all zero
+    grid_rows = z if search.candidates is not None else _grid_sample(z, search.seed)
+    fallback = None
     if (z == z[0]).all():
         fallback = "identical calibration features: marginal bandwidth"
+    elif grid_rows is not z and (grid_rows == grid_rows[0]).all():
+        fallback = f"identical features in the grid's {grid_rows.shape[0]}-row subsample: marginal bandwidth"
+    if fallback is not None:
         return math.inf, {"candidates": [], "scores": [], "folds": 0, "fallback": fallback}
-    fallback = None
     if z.shape[0] < search.folds:
         fallback = f"{search.folds} folds clamped to the {z.shape[0]} calibration rows"
         search = replace(search, folds=z.shape[0])

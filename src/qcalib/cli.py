@@ -447,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config_pairs(path, command: argparse.ArgumentParser) -> list[tuple[str, str | None]]:
+def _read_config_pairs(path, command: argparse.ArgumentParser) -> list[tuple[int, str, str | None]]:
     # the keys are the command's long options; a switch takes a true/false word
     actions = {
         flag[2:].replace("-", "_"): action
@@ -460,7 +460,7 @@ def _read_config_pairs(path, command: argparse.ArgumentParser) -> list[tuple[str
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    pairs: list[tuple[str, str | None]] = []
+    pairs: list[tuple[int, str, str | None]] = []
     first: dict[str, int] = {}
     for line_no, line in enumerate(lines, start=1):
         text = line.strip()
@@ -477,9 +477,9 @@ def _read_config_pairs(path, command: argparse.ArgumentParser) -> list[tuple[str
         action = actions[key]
         if action.nargs != 0:
             _check_config_value(action, value, f"{path} line {line_no}: {key}")
-            pairs.append((key, value))
+            pairs.append((line_no, key, value))
         elif value.lower() in _TRUE_WORDS:
-            pairs.append((key, None))
+            pairs.append((line_no, key, None))
         elif value.lower() not in _FALSE_WORDS:
             raise ValueError(f"{path} line {line_no}: {key} must be true/false")
     return pairs
@@ -515,11 +515,32 @@ def _merge_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     if path is None or argv[0] not in commands.choices:
         return argv  # argparse reports a missing or unknown subcommand
+    command = commands.choices[argv[0]]
+    # a file entry beside a flag of its mutually exclusive group, given on
+    # the command line or earlier in the file, is refused here, where the
+    # file and line are known; argparse would name neither
+    rivals = {
+        flag: [f for other in group._group_actions if other is not action for f in other.option_strings]
+        for group in command._mutually_exclusive_groups
+        for action in group._group_actions
+        for flag in action.option_strings
+    }
     merged = list(argv)
-    for key, value in _read_config_pairs(path, commands.choices[argv[0]]):
+    given = {t.split("=", 1)[0] for t in argv if t.startswith("--")}
+    placed: dict[str, int] = {}
+    for line_no, key, value in _read_config_pairs(path, command):
         flag = "--" + key.replace("_", "-")
-        if any(t == flag or t.startswith(flag + "=") for t in argv):
+        if flag in given:
             continue
+        for other in rivals.get(flag, ()):
+            if other in placed:
+                where = f"key {other[2:].replace('-', '_')!r} ({other}) on line {placed[other]}"
+            elif other in given:
+                where = f"{other} from the command line"
+            else:
+                continue
+            raise ValueError(f"{path} line {line_no}: key {key!r} ({flag}) is not allowed with {where}")
+        placed[flag] = line_no
         merged.append(flag)
         if value is not None:
             merged.append(value)

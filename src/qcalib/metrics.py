@@ -89,8 +89,15 @@ def pinball_loss(predicted, observed, tau):
     tau_arr = np.asarray(tau, dtype=float)
     if not ((tau_arr > 0.0).all() and (tau_arr < 1.0).all()):
         raise ValueError("tau must lie strictly inside (0, 1)")
-    diff = np.asarray(predicted, dtype=float) - np.asarray(observed, dtype=float)
-    loss = np.where(diff > 0.0, (1.0 - tau_arr) * diff, tau_arr * (-diff))
+    predicted = np.asarray(predicted, dtype=float)
+    observed = np.asarray(observed, dtype=float)
+    shape = np.broadcast_shapes(predicted.shape, observed.shape, tau_arr.shape)
+    # the differences, then each scaled in place: diff * (1 - tau) equals
+    # (1 - tau) * diff, and diff * -tau equals tau * (-diff), bit for bit
+    loss = np.subtract(predicted, observed, out=np.empty(shape))
+    over = loss > 0.0
+    np.multiply(loss, 1.0 - tau_arr, out=loss, where=over)
+    np.multiply(loss, -tau_arr, out=loss, where=~over)
     if loss.ndim == 0:
         return float(loss)
     return loss

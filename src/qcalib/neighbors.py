@@ -2,7 +2,9 @@
 
 Every distance the package uses is computed here, one way: difference,
 square, sum over coordinates, square root. Balls, kNN order and the pairwise
-distances of the bandwidth grid (:func:`pair_distances`) all round alike.
+distances of the bandwidth grid all round alike; the grid's pair pass
+(:func:`pair_square_sums`) stops before the square root, which keeps the
+sums' order, and its caller takes the root of the few it reads.
 
 Queries go in row blocks of at most ``_BLOCK_BUDGET`` query-coordinate-point
 entries (rows × n × d), a size that keeps a block's work in cache. A block
@@ -121,7 +123,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["KeySortedPoints", "ball_blocks", "block_balls", "k_nearest", "pair_distances"]
+__all__ = ["KeySortedPoints", "ball_blocks", "block_balls", "k_nearest", "pair_square_sums"]
 
 # rows × n × d entries per block; 125 k to 1 M ran alike, 8 M up to 1.8x slower
 _BLOCK_BUDGET = 500_000
@@ -306,10 +308,11 @@ def _distance_blocks(
         del dists
 
 
-def pair_distances(points: np.ndarray) -> np.ndarray:
-    """Distances of all row pairs i < j, ordered by i then j, each equal to
-    ``sqrt(((points[i] - points[j]) ** 2).sum())`` bit for bit; a row block
-    is summed against the points after its first row, in the same budget."""
+def pair_square_sums(points: np.ndarray) -> np.ndarray:
+    """Squared distances of all row pairs i < j, ordered by i then j, each
+    equal to ``((points[i] - points[j]) ** 2).sum()`` bit for bit, so its
+    square root is the kernel's distance; a row block is summed against the
+    points after its first row, in the same budget."""
     m, d = points.shape
     rows = max(1, _BLOCK_BUDGET // max(1, m * d))
     cols = np.ascontiguousarray(points.T)
@@ -320,7 +323,7 @@ def pair_distances(points: np.ndarray) -> np.ndarray:
         # row start + r keeps its pairs with the points after it: columns r on
         upper = block[np.arange(block.shape[1]) >= np.arange(block.shape[0])[:, None]]
         del block
-        np.sqrt(upper, out=out[filled : filled + upper.shape[0]])
+        out[filled : filled + upper.shape[0]] = upper
         filled += upper.shape[0]
     return out
 

@@ -24,14 +24,17 @@ every quantile, is the full scan's bit for bit (the argument is in
 :mod:`qcalib.neighbors`).
 
 Bandwidth selection is K-fold cross-validation of the pinball loss over a
-candidate grid drawn from the quantiles of pairwise inter-point distances,
-computed by the kernel's pair pass. The sample is sorted by value once; each
-fold keeps its points in that order (a stable sort's subset is the stable
-sort of the subset), builds one store of them and makes one pass of the ball
-step from its held-out rows with every candidate radius, so all candidates
-read the same distance or Gram blocks, and the kernel measures a held-out
-row at most once per fold. The folds pass on their store's memory of
-widened blocks.
+candidate grid drawn from the quantiles of pairwise inter-point distances.
+The kernel's pair pass gives their squares, sorted once in place; zero pairs
+are counted and skipped, and each level is interpolated, as ``np.quantile``
+does by default, between the square roots of the two order statistics
+around it, so the grid equals ``np.quantile`` of the positive distances bit
+for bit. The sample is sorted by value once; each fold keeps its points in
+that order (a stable sort's subset is the stable sort of the subset), builds
+one store of them and makes one pass of the ball step from its held-out rows
+with every candidate radius, so all candidates read the same distance or
+Gram blocks, and the kernel measures a held-out row at most once per fold.
+The folds pass on their store's memory of widened blocks.
 """
 
 from __future__ import annotations
@@ -214,15 +217,34 @@ _DISTANCE_QUANTILES = (0.05, 0.1, 0.2, 0.4, 0.6, 0.8)
 _PAIRWISE_CAP = 2000
 
 
-def _pairwise_distance_candidates(points: np.ndarray, seed: int) -> np.ndarray:
+def _grid_sample(points: np.ndarray, seed: int) -> np.ndarray:
+    """The rows whose pairwise distances make the default grid: all of them,
+    or a seeded ``_PAIRWISE_CAP``-row subsample of a larger sample."""
     n = points.shape[0]
-    if n > _PAIRWISE_CAP:
-        points = points[np.random.default_rng([seed, 1]).choice(n, _PAIRWISE_CAP, replace=False)]
-    dists = neighbors.pair_distances(points)
-    dists = dists[dists > 0]
-    if dists.size == 0:
+    if n <= _PAIRWISE_CAP:
+        return points
+    return points[np.random.default_rng([seed, 1]).choice(n, _PAIRWISE_CAP, replace=False)]
+
+
+def _pairwise_distance_candidates(points: np.ndarray, seed: int) -> np.ndarray:
+    sums = neighbors.pair_square_sums(_grid_sample(points, seed))
+    sums.sort()
+    zeros = int(np.searchsorted(sums, 0.0, side="right"))
+    n = sums.shape[0] - zeros
+    if n == 0:
         raise ValueError("all pairwise distances are zero; candidate grid undefined")
-    return np.unique(np.quantile(dists, _DISTANCE_QUANTILES))
+    # np.quantile's "linear" method over the n positive distances, whose
+    # order statistics are the square roots of the sums' (sqrt is monotone)
+    virtual = (n - 1) * np.asarray(_DISTANCE_QUANTILES)
+    below = np.floor(virtual)
+    gamma = virtual - below
+    lo = zeros + below.astype(np.intp)
+    a = np.sqrt(sums[lo])
+    b = np.sqrt(sums[np.minimum(lo + 1, sums.shape[0] - 1)])
+    diff = b - a
+    grid = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=grid, where=gamma >= 0.5)
+    return np.unique(grid)
 
 
 def _resolve_candidates(points: np.ndarray, search: BandwidthSearch) -> np.ndarray:

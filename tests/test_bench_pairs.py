@@ -50,3 +50,54 @@ def test_one_failed_check_marks_the_workload():
     side = entry["metrics"]["pipeline_s"]["change"]
     assert side == {"median": 1.0, "q1": 1.0, "q3": 1.0, "runs": [1.0]}
     assert entry["metrics"]["pipeline_s"]["change_wins"] == 0
+
+
+def verdicts(parent_s, change_s, parent_rows=None, change_rows=None, change_failed=0):
+    """Each metric's verdict over pairs of made-up runs; rows per second
+    default to a steady 100 on both sides."""
+    parent_rows = parent_rows or [100.0] * len(parent_s)
+    change_rows = change_rows or [100.0] * len(change_s)
+    parent = [run(s, r) for s, r in zip(parent_s, parent_rows)]
+    change = [run(s, r, failed=change_failed) for s, r in zip(change_s, change_rows)]
+    metrics = bench_pairs.summarize(END_TO_END, parent, change)["metrics"]
+    return {name: m["verdict"] for name, m in metrics.items()}
+
+
+PARENT = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.02, 0.98]
+
+
+def test_verdict_gain_needs_nine_wins_in_ten_and_a_shift_past_the_quartiles():
+    faster = [s - 0.1 for s in PARENT]
+    assert verdicts(PARENT, faster)["pipeline_s"] == "gain"
+    # 8 of 10 wins is not enough, however large the shift
+    mixed = faster[:8] + [s + 0.01 for s in PARENT[8:]]
+    assert verdicts(PARENT, mixed)["pipeline_s"] == "unchanged"
+    # 10 wins by less than the parent's interquartile range (0.02) is no gain
+    assert verdicts(PARENT, [s - 0.005 for s in PARENT])["pipeline_s"] == "unchanged"
+    # nor is one where more operations failed than at the parent
+    assert verdicts(PARENT, faster, change_failed=1)["pipeline_s"] == "unchanged"
+    # unchanged rows per second tie in every pair
+    assert verdicts(PARENT, faster)["predict_rows_per_s"] == "unchanged"
+
+
+def test_verdict_worse_is_relative_to_the_parent_median():
+    # bound 0.22: a median 23 % slower is worse, 20 % slower is not
+    assert verdicts(PARENT, [s * 1.23 for s in PARENT])["pipeline_s"] == "worse"
+    assert verdicts(PARENT, [s * 1.20 for s in PARENT])["pipeline_s"] == "unchanged"
+
+
+def test_verdict_unresolved_when_either_side_spreads_past_the_bound():
+    wide = [0.7, 1.3, 0.7, 1.3, 0.7, 1.3, 0.7, 1.3, 0.7, 1.3]
+    assert verdicts(PARENT, wide)["pipeline_s"] == "unresolved"
+    assert verdicts(wide, PARENT)["pipeline_s"] == "unresolved"
+    # unless every change run beats every parent run: here by less than the
+    # parent's interquartile range, so no gain either
+    assert verdicts(wide, [0.69] * 10)["pipeline_s"] == "unchanged"
+
+
+def test_verdict_where_higher_is_better():
+    rows = [100.0 * s for s in PARENT]
+    more = [r * 1.1 for r in rows]
+    assert verdicts(PARENT, PARENT, rows, more)["predict_rows_per_s"] == "gain"
+    assert verdicts(PARENT, PARENT, more, rows)["predict_rows_per_s"] == "unchanged"
+    assert verdicts(PARENT, PARENT, rows, [r * 0.7 for r in rows])["predict_rows_per_s"] == "worse"

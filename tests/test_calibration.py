@@ -16,7 +16,7 @@ from qcalib.calibration import (
 )
 from qcalib.data import Dataset, DatasetError, SplitSpec
 from qcalib.projection import ProjectionMap, correlation_select, gaussian_projection
-from qcalib.quantile import BandwidthSearch, KernelConfig
+from qcalib.quantile import BandwidthSearch, KernelConfig, bandwidth_cv_scores
 from qcalib.reference import sorted_left_quantile
 from qcalib.regressors import RegressorSpec
 from qcalib.synthetic import GeneratorSpec, analytic_quantile, generate
@@ -364,6 +364,31 @@ class TestAutoBandwidthRecord:
         assert kernel["bandwidth"] == math.inf and kernel["auto"] is True
         assert kernel["cv"]["fallback"].startswith("identical calibration features")
         assert kernel["cv"]["candidates"] == [] and kernel["cv"]["folds"] == 0
+
+    def test_grid_subsample_of_identical_rows_takes_the_marginal_bandwidth(self):
+        # 2 500 calibration rows hold the one distinct x, but the grid's
+        # seeded 2 000-row subsample misses it at seed 0: its pair distances
+        # are all 0, so the default grid is undefined
+        xs = np.zeros(5000)
+        xs[123] = 1.0
+        data = Dataset(xs[:, None], np.arange(5000.0) % 7, ("x",))
+        model = calibrate(data, CalibrationConfig(regressor=RegressorSpec("ols")))
+        kernel = model.config["kernel"]
+        assert model.config["n_calibration"] == 2500
+        assert (model.quantile_estimator.points != 0.0).any()
+        assert kernel["bandwidth"] == math.inf and kernel["auto"] is True
+        assert kernel["cv"]["fallback"] == (
+            "identical features in the grid's 2000-row subsample: marginal bandwidth"
+        )
+        assert kernel["cv"]["candidates"] == [] and kernel["cv"]["folds"] == 0
+        # the grid itself still refuses such rows
+        with pytest.raises(ValueError, match="pairwise distances are zero"):
+            bandwidth_cv_scores(np.zeros((10, 1)), np.arange(10.0), BandwidthSearch())
+        # another subsample of the same calibration rows holds the distinct
+        # row and cross-validates
+        cfg = CalibrationConfig(regressor=RegressorSpec("ols"), bandwidth_search=BandwidthSearch(seed=3))
+        model = calibrate(data, cfg)
+        assert model.config["kernel"]["cv"]["fallback"] is None
 
     def test_folds_clamped_to_calibration_rows(self):
         rng = np.random.default_rng(0)

@@ -143,6 +143,22 @@ class TestCalibrate:
         assert json.loads(model_path.read_text())["config"]["kernel"]["cv"]["fallback"]
 
 
+    def test_grid_subsample_of_identical_rows_exits_0(self, tmp_path, capsys):
+        # x = 0 except row 123: the calibration half holds that row at seed
+        # 0, the grid's 2 000-row subsample of the half does not
+        path = tmp_path / "flat.csv"
+        path.write_text("x,y\n" + "".join(f"{float(i == 123)},{i % 7}\n" for i in range(5000)))
+        model_path = tmp_path / "model.json"
+        argv = ["calibrate", "--input", str(path), "--target", "y", "--output", str(model_path)]
+        assert main([*argv, "--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "bandwidth: inf (identical features in the grid's 2000-row subsample" in out, out
+        kernel = json.loads(model_path.read_text())["config"]["kernel"]
+        assert kernel["cv"]["fallback"].startswith("identical features in the grid's")
+        assert main([*argv, "--seed", "1"]) == 0
+        assert "(cross-validated)" in capsys.readouterr().out
+
+
 class TestConfigFile:
     def test_file_supplies_defaults_flags_win(self, tmp_path, train_csv):
         cfg = tmp_path / "run.cfg"
@@ -342,10 +358,18 @@ class TestPredict:
         out = tmp_path / "preds.csv"
         argv = ["predict", "--model", str(model_path), "--input", str(test_csv), "--output", str(out)]
         capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--config", str(cfg), *flags])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
+        if config:
+            # refused while the file is read, naming it, the line and both keys
+            assert main([*argv, "--config", str(cfg), *flags]) == 2
+            err = capsys.readouterr().err
+            line = len(config.splitlines())
+            assert f"{cfg} line {line}: key " in err, err
+            assert "'taus' (--taus)" in err or "'alpha' (--alpha)" in err, err
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--config", str(cfg), *flags])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
         assert "--taus" in err and "--alpha" in err, err
         assert not out.exists()
         # with neither flag the levels stay the default three

@@ -134,7 +134,7 @@ def test_distances_equal_numpy_sum_bitwise(monkeypatch, d):
     queries[2] = np.nan
     queries[5, d // 2] = np.inf
     want = np.sqrt(((queries[:, None] - points[None]) ** 2).sum(axis=2))
-    pairs = np.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=2))
+    pair_sums = ((points[:, None] - points[None]) ** 2).sum(axis=2)
     monkeypatch.setattr(neighbors, "_BLOCK_BUDGET", 4 * points.size)
     pair_blocks = []
     inner = neighbors._square_sum
@@ -156,8 +156,8 @@ def test_distances_equal_numpy_sum_bitwise(monkeypatch, d):
         for m in (1, 2, 23):
             with monkeypatch.context() as mp:
                 mp.setattr(neighbors, "_square_sum", recorded)
-                got_pairs = neighbors.pair_distances(stored[:m])
-            want_pairs = pairs[:m, :m][np.triu_indices(m, k=1)]
+                got_pairs = neighbors.pair_square_sums(stored[:m])
+            want_pairs = pair_sums[:m, :m][np.triu_indices(m, k=1)]
             assert got_pairs.shape == (m * (m - 1) // 2,)
             assert got_pairs.tobytes() == want_pairs.tobytes()
         # m = 23 went in blocks of 4 rows, the last one partial

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcalib import neighbors, quantile
@@ -170,6 +170,26 @@ class TestValidation:
             BandwidthSearch(lipschitz_hint=-1.0)
 
 
+def positive_distance_quantiles(pts):
+    """The default grid as documented: ``np.quantile`` over the positive
+    pairwise distances, each ``sqrt(((p_i - p_j) ** 2).sum())``."""
+    rows = [np.sqrt(((pts[i + 1 :] - pts[i]) ** 2).sum(axis=1)) for i in range(pts.shape[0])]
+    dists = np.concatenate(rows)
+    return np.unique(np.quantile(dists[dists > 0], quantile._DISTANCE_QUANTILES))
+
+
+@st.composite
+def grid_samples(draw):
+    """Points on a coarse lattice in 1, 3, 6 or 20 coordinates: a few
+    distinct rows, each repeated any number of times, so 2 or 3 points,
+    duplicates and one distinct point among copies all come up."""
+    d = draw(st.sampled_from([1, 3, 6, 20]))
+    row = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    distinct = draw(st.lists(row, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=2, max_size=40))
+    return np.array(distinct, dtype=float)[picks] / 1000
+
+
 class TestBandwidthSelection:
     def test_two_fold_cv_by_hand(self):
         # 4 points on a line, 2 folds, single level 0.5. With the seed-0
@@ -220,7 +240,36 @@ class TestBandwidthSelection:
         expect = np.unique(np.quantile(dists[dists > 0], (0.05, 0.1, 0.2, 0.4, 0.6, 0.8)))
         search = BandwidthSearch(folds=5, seed=3)
         cands, _ = bandwidth_cv_scores(pts, rng.normal(size=50), search)
-        np.testing.assert_allclose(cands, expect, rtol=0, atol=1e-12)
+        assert cands.tobytes() == expect.tobytes()
+
+    def test_subsampled_grid_equals_quantiles_of_the_subsample(self):
+        # above _PAIRWISE_CAP rows the grid reads a seeded subsample; from
+        # it, the grid is np.quantile over its positive distances, bit for bit
+        n = quantile._PAIRWISE_CAP + 500
+        rng = np.random.default_rng(11)
+        pts = rng.normal(size=(n, 3))
+        pts[rng.integers(0, n, size=300)] = pts[0]  # repeats, so zero pairs too
+        for seed in (0, 7):
+            rows = np.random.default_rng([seed, 1]).choice(n, quantile._PAIRWISE_CAP, replace=False)
+            expect = positive_distance_quantiles(pts[rows])
+            got = quantile._resolve_candidates(pts, BandwidthSearch(seed=seed))
+            assert got.shape == (6,) and got.tobytes() == expect.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid_samples())
+    # zero pairs among few positive ones; then levels whose interpolation
+    # weight is at least 1/2, where a + (b - a) g and b - (b - a)(1 - g) round
+    # apart
+    @example(np.array([[0], [0], [-3], [-3], [-3], [-1], [-3], [-3]]) / 1000)
+    @example(np.repeat(np.array([[-1, 0, -3, -3, -2, 2], [-1, 2, -1, 1, 1, 0]]), 2, axis=0) / 1000)
+    def test_grid_equals_quantiles_of_positive_distances(self, pts):
+        search = BandwidthSearch()
+        if not (pts != pts[0]).any():
+            with pytest.raises(ValueError, match="pairwise distances are zero"):
+                quantile._resolve_candidates(pts, search)
+            return
+        expect = positive_distance_quantiles(pts)
+        assert quantile._resolve_candidates(pts, search).tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("d", [2, 8, 20])
     def test_repeated_rows_leave_no_spurious_distances(self, d):
@@ -229,10 +278,7 @@ class TestBandwidthSelection:
         rng = np.random.default_rng(d)
         distinct = rng.normal(size=(300, d))
         pts = distinct[rng.integers(0, 300, size=1500)]
-        # sqrt(((p[:, None] - p[None]) ** 2).sum(axis=2))[triu_indices(1500, 1)], row by row
-        rows = [np.sqrt(((pts[i + 1 :] - pts[i]) ** 2).sum(axis=1)) for i in range(1500)]
-        brute = np.concatenate(rows)
-        expect = np.unique(np.quantile(brute[brute > 0], quantile._DISTANCE_QUANTILES))
+        expect = positive_distance_quantiles(pts)
         got = quantile._resolve_candidates(pts, BandwidthSearch())
         assert got.tobytes() == expect.tobytes()
 

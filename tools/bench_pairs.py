@@ -17,11 +17,23 @@ to its ``run_seconds``, the seed to 1 and the pairs to 10.
 
 FILE gets, for each workload and each end-to-end metric of
 ``BENCHMARK.json``, each side's median, quartiles and runs, the metric's
-bound and ``change_wins``, the pairs where the change read better (ties count
-for neither); then the operations attempted and failed on each side, whether
-every check passed, the host and the command. A run that exits non-zero stops
-the tool with exit code 1 and no FILE; the temporary trees are removed
-either way.
+bound, ``change_wins``, the pairs where the change read better (ties count
+for neither), and a ``verdict``; then the operations attempted and failed on
+each side, whether every check passed, the host and the command. A run that
+exits non-zero stops the tool with exit code 1 and no FILE; the temporary
+trees are removed either way.
+
+The verdict, also printed one line per workload and metric, is the first of
+these that holds:
+
+- ``gain``: the change won at least 9 in 10 pairs, its median is better than
+  the parent's by more than the parent's interquartile range, and no more
+  operations failed than at the parent;
+- ``worse``: the change's median is worse than the parent's by more than the
+  bound, taken relative to the parent's median;
+- ``unresolved``: either side's interquartile range, relative to its median,
+  is wider than the bound, and not every change run beat every parent run;
+- ``unchanged``: anything else.
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import platform
 import shutil
@@ -57,15 +70,35 @@ def _side(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
 
 
+def _verdict(entry: dict, sign: int, pairs: int, more_failed: bool) -> str:
+    """``gain``, ``worse``, ``unresolved`` or ``unchanged``; see the module
+    docstring. ``sign`` is 1 where higher is better, -1 where lower is."""
+    parent, change, bound = entry["parent"], entry["change"], entry["bound"]
+    better_by = sign * (change["median"] - parent["median"])
+    if (
+        entry["change_wins"] >= math.ceil(0.9 * pairs)
+        and better_by > parent["q3"] - parent["q1"]
+        and not more_failed
+    ):
+        return "gain"
+    if -better_by > bound * abs(parent["median"]):
+        return "worse"
+    wide = any(side["q3"] - side["q1"] > bound * abs(side["median"]) for side in (parent, change))
+    if wide and not all(sign * (y - x) > 0 for x in parent["runs"] for y in change["runs"]):
+        return "unresolved"
+    return "unchanged"
+
+
 def summarize(end_to_end: list[dict], parent: list[dict], change: list[dict]) -> dict:
     """One workload's record from its runs' JSON results, ``parent[i]`` and
     ``change[i]`` being pair i."""
+    failed = {"parent": sum(r["failed"] for r in parent), "change": sum(r["failed"] for r in change)}
     metrics = {}
     for spec in end_to_end:
         name = spec["name"]
         a, b = ([run["metrics"][name]["value"] for run in side] for side in (parent, change))
         sign = 1 if spec["better"] == "higher" else -1
-        metrics[name] = {
+        entry = metrics[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
             "bound": spec["bound"],
@@ -73,11 +106,12 @@ def summarize(end_to_end: list[dict], parent: list[dict], change: list[dict]) ->
             "change": _side(b),
             "change_wins": sum(sign * (y - x) > 0 for x, y in zip(a, b)),
         }
+        entry["verdict"] = _verdict(entry, sign, len(parent), failed["change"] > failed["parent"])
     return {
         "pairs": len(parent),
         "order": "pair 1 runs the parent first, and the order alternates",
         "attempted": {"parent": sum(r["attempted"] for r in parent), "change": sum(r["attempted"] for r in change)},
-        "failed": {"parent": sum(r["failed"] for r in parent), "change": sum(r["failed"] for r in change)},
+        "failed": failed,
         "all_checks_passed": all(run["correct"] for run in parent + change),
         "metrics": metrics,
     }
@@ -164,6 +198,14 @@ def main(argv: list[str] | None = None) -> int:
                     label = f"{workload} pair {pair + 1}/{args.pairs} {side}"
                     results[side].append(_run(trees[side], command, label))
             entry = summarize(bench["end_to_end"], results["parent"], results["change"])
+            for name, m in entry["metrics"].items():
+                print(
+                    f"{workload} {name}: {m['verdict']} (parent {m['parent']['median']:.6g} "
+                    f"[{m['parent']['q1']:.6g}, {m['parent']['q3']:.6g}], change "
+                    f"{m['change']['median']:.6g} [{m['change']['q1']:.6g}, {m['change']['q3']:.6g}], "
+                    f"change won {m['change_wins']}/{args.pairs})",
+                    flush=True,
+                )
             record["runs"][f"{workload} seed {args.seed}"] = {
                 "workload": workload, "seed": args.seed, "trace": 0, **entry, "command": " ".join(command),
             }
