@@ -2,9 +2,9 @@
 
 Every distance the package uses is computed here, one way: difference,
 square, sum over coordinates, square root. Balls, kNN order and the pairwise
-distances of the bandwidth grid all round alike; the grid's pair pass
-(:func:`pair_square_sums`) stops before the square root, which keeps the
-sums' order, and its caller takes the root of the few it reads.
+distances of the bandwidth grid all round alike; the grid's pair sums
+(:func:`pair_sum_order`) stop before the square root, which keeps their
+order, and its caller takes the root of the few it reads.
 
 Queries go in row blocks of at most ``_BLOCK_BUDGET`` query-coordinate-point
 entries (rows × n × d), a size that keeps a block's work in cache. A block
@@ -92,6 +92,21 @@ path never changes a result. In a run of the benchmark's ``ols_auto_d20``
 none of 24 717 prediction rows widened, and 4 of 6 300 CV rows did, at the
 smallest candidate.
 
+The grid's pairs. The default bandwidth grid reads, over the row pairs of
+its sample (at most 2 000 rows, 1 999 000 pairs), how many squared sums are
+0 and the sums at twelve ranks of their ascending order.
+:func:`pair_square_sums` sums every pair and :func:`pair_sum_order` sorts
+them in place below ``_GRAM_MIN_DIM`` coordinates, the balls' Gram
+dimension, and past the norm limit: at 2 000 × 1 the Gram path below took
+28 ms against the pair pass's 22 ms (at 2 000 × 3, 26 against 28 ms). From
+``_GRAM_MIN_DIM`` on it fills one int64 key per pair, block by block: the
+bits of the pair's Gram estimate ``|a|² + |b|² - 2 a·b`` from one matrix
+product, clamped at 0, with the low b bits replaced by the pair's index
+(b = 21 for 2 000 rows). It sorts the keys in place, and the kernel then
+sums only the pairs of part 4's windows and zero prefix below. At the shape
+of ``ols_auto_d20``'s calibration half, 1 500 × 20, it summed 12 of the
+1.1 M pairs, and the grid took 15 ms instead of 47 ms.
+
 Why the band holds. Write Q = |q|², P = |p|², S = Σ (q_i - p_i)², all
 exact, K for the kernel's squared sum, γ_k = k u / (1 - k u) and η = 2**-1074
 for the absolute error an underflow can add to one product.
@@ -114,6 +129,26 @@ Chaining the three, s <= h² - band gives K <= h², and s > h² + band gives
 K > h² (1 + u)² + η, whenever band >= (2d + 5) u (Q + P) + (d + 7) u h² + 8 d η
 up to factors 1 + O(d u). The band above is twice that for the pair's own
 norms, and its floor, (d + 8) 2**-1011, is far above 8 d η.
+
+4. The grid's windows. Parts 1 and 2 give |K - s| <= (4d + 9) u (Q + P) +
+   6 d η, within the band at h = 0 for the sample's largest squared norm
+   with at least 46 u of that norm to spare; clamping only moves a negative
+   s toward K >= 0. Dropping the low b bits lowers the clamped s by less
+   than 2**(b - 52) of the truncated estimate t that remains (by less than
+   2**(b - 1074) for a subnormal, far below the floor), and a nonnegative
+   float's bits order as it does. So every |K - t| <= B, the band plus
+   2**(b - 52) of the largest t. Let T be the r-th smallest t, counting
+   from 0. The r + 1 pairs at or before T in key order have K <= T + B and
+   the pairs from T on have K >= T - B, so the r-th smallest K lies within
+   B of T; a pair with t < T - 2B has K < T - B, and one with t > T + 2B has
+   K > T + B. So in any run of the key order that holds every pair with t
+   within 2B of T, after c pairs, the r-th smallest K is the (r - c)-th
+   smallest K of the run. Merging overlapping runs keeps that; the kernel
+   sums each run and sorts the sums, which puts the r-th smallest K at
+   position r - c. A zero K has t <= B, so the zeros are counted in the prefix
+   of keys up to B. The runs end on whole keys outside T ± 2B; forming B
+   and T ± 2B rounds by about u (T + 2B), under 5 u of the largest squared
+   norm (K <= 4 of it), inside the 46 u to spare.
 """
 
 from __future__ import annotations
@@ -123,7 +158,9 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["KeySortedPoints", "ball_blocks", "block_balls", "k_nearest", "pair_square_sums"]
+__all__ = [
+    "KeySortedPoints", "ball_blocks", "block_balls", "k_nearest", "pair_square_sums", "pair_sum_order"
+]
 
 # rows × n × d entries per block; 125 k to 1 M ran alike, 8 M up to 1.8x slower
 _BLOCK_BUDGET = 500_000
@@ -153,6 +190,9 @@ _GRAM_NORM_LIMIT = 2.0**1000
 _GRAM_MAX_RADIUS = 2.0**499
 # added to the band's scale, far above any error from underflow
 _BAND_FLOOR = 2.0**-960
+# (rows, m) entries of a block of pair estimates: over 2 000 rows at d = 5
+# and 20, 32 k to 500 k ran alike, 4 k up to twice as slow
+_GRAM_PAIR_BLOCK = 62_500
 
 
 def _squares(queries: np.ndarray, cols: np.ndarray, j: int, out=None) -> np.ndarray:
@@ -328,6 +368,116 @@ def pair_square_sums(points: np.ndarray) -> np.ndarray:
     return out
 
 
+def _band(d: int, scale: float) -> float:
+    """The Gram band of ``d`` coordinates at ``scale`` (``max |q|² + max |p|²``
+    plus the floor, plus h²); see the module docstring."""
+    return 4.0 * (d + 8) * _UNIT_ROUNDOFF * scale
+
+
+def _pair_keys(points: np.ndarray, store: KeySortedPoints, mask: int) -> np.ndarray:
+    """One int64 key per row pair i < j, in :func:`pair_square_sums`' order:
+    the bits of the pair's Gram estimate clamped at 0, with the bits of
+    ``mask`` replaced by the pair's index; filled block by block."""
+    m = points.shape[0]
+    rows = max(1, _GRAM_PAIR_BLOCK // max(1, m))
+    keys = np.empty(m * (m - 1) // 2, dtype=np.int64)
+    filled = 0
+    for start in range(0, m, rows):
+        s = _pair_estimates(points, store, start, start + rows)
+        upper = s[np.arange(s.shape[1]) >= np.arange(s.shape[0])[:, None]]
+        del s
+        out = keys[filled : filled + upper.shape[0]]
+        # a nonnegative float's bits order as it does, and a negative one's,
+        # -0.0 included, read below 0: clamping the bits clamps the estimate
+        np.maximum(upper.view(np.int64), 0, out=out)
+        out &= ~mask
+        out |= np.arange(filled, filled + out.shape[0])
+        filled += out.shape[0]
+    return keys
+
+
+def _pair_estimates(points: np.ndarray, store: KeySortedPoints, start: int, stop: int):
+    """The Gram estimates ``|a|² + |b|² - 2 a·b`` of rows ``start:stop``
+    against the points after ``start``, from one matrix product."""
+    with np.errstate(all="ignore"):  # below the norm limit nothing overflows
+        s = (points[start:stop] * -2.0) @ store.cols[:, start + 1 :]
+        s += store.norms[start:stop, None]
+        s += store.norms[start + 1 :]
+    return s
+
+
+def _exact_sums(points: np.ndarray, store: KeySortedPoints, pairs: np.ndarray) -> np.ndarray:
+    """The squared sums of the pairs of index ``pairs``, each row i against
+    its own stored point j, as :func:`pair_square_sums` has them."""
+    m, d = points.shape
+    firsts = np.arange(m) * (2 * m - 1 - np.arange(m)) // 2  # each row's first pair
+    out = np.empty(pairs.shape[0])
+    step = max(1, _BLOCK_BUDGET // max(1, d))
+    for lo in range(0, pairs.shape[0], step):
+        p = pairs[lo : lo + step]
+        i = firsts.searchsorted(p, side="right") - 1
+        j = p - firsts[i] + i + 1
+        out[lo : lo + step] = _square_sum(points[i], store.cols[:, j, None], 0, d)[:, 0]
+    return out
+
+
+def pair_sum_order(points: np.ndarray):
+    """``(pairs, zeros, at)`` over the row pairs i < j of ``points``: their
+    number, how many of their squared sums are 0, and ``at(ranks)``, the sums
+    at those 0-based ranks of their ascending order. Each sum is
+    :func:`pair_square_sums`' bit for bit.
+
+    From ``_GRAM_MIN_DIM`` coordinates on, with squared norms below
+    ``_GRAM_NORM_LIMIT``, the pairs are sorted by their Gram estimates, and
+    the kernel sums only the pairs that the band cannot place (see the module
+    docstring); otherwise the kernel sums every pair, sorted in place."""
+    m, d = points.shape
+    store = KeySortedPoints(points)
+    # an overflowed norm is inf, past the limit
+    if d < _GRAM_MIN_DIM or not store.norms.max(initial=0.0) < _GRAM_NORM_LIMIT:
+        sums = pair_square_sums(points)
+        sums.sort()
+        return sums.shape[0], int(sums.searchsorted(0.0, side="right")), sums.__getitem__
+    top = float(store.norms.max())
+    count = m * (m - 1) // 2
+    bits = max(0, count - 1).bit_length()  # of a pair index: 21 for 2 000 rows
+    mask = (1 << bits) - 1
+    keys = _pair_keys(points, store, mask)
+    keys.sort()
+    # every truncated estimate t is within ``band`` of its pair's sum
+    largest = float((keys[-1:] & ~mask).view(np.float64).max(initial=0.0))  # 0 without pairs
+    band = _band(d, 2.0 * top + _BAND_FLOOR) + 2.0 ** (bits - 52) * largest
+
+    def first(bounds: np.ndarray) -> np.ndarray:  # every key before it has t < its bound
+        return keys.searchsorted(np.maximum(bounds, 0.0).view(np.int64) & ~mask)
+
+    def past(bounds: np.ndarray) -> np.ndarray:  # the keys before it have t <= its bound
+        return keys.searchsorted(bounds.view(np.int64) | mask, side="right")
+
+    prefix = past(np.array([band]))[0]  # a zero sum has t <= band
+    zeros = int(np.count_nonzero(_exact_sums(points, store, keys[:prefix] & mask) == 0.0))
+
+    def at(ranks) -> np.ndarray:
+        ranks = np.asarray(ranks, dtype=np.intp)
+        centers = (keys[ranks] & ~mask).view(np.float64)
+        spans = []  # each rank's window, overlapping ones merged
+        for lo, hi in sorted(zip(first(centers - 2.0 * band), past(centers + 2.0 * band))):
+            if spans and lo <= spans[-1][1]:
+                spans[-1][1] = max(spans[-1][1], hi)
+            else:
+                spans.append([lo, hi])
+        out = np.empty(ranks.shape[0])
+        for lo, hi in spans:
+            # a span's sums, sorted, are the sums at its ranks
+            sums = _exact_sums(points, store, keys[lo:hi] & mask)
+            sums.sort()
+            inside = (lo <= ranks) & (ranks < hi)
+            out[inside] = sums[ranks[inside] - lo]
+        return out
+
+    return count, zeros, at
+
+
 def _k_smallest(dists: np.ndarray, k: int) -> np.ndarray:
     """Column indices of each row's k smallest entries, ordered by (value, index)."""
     rows = np.arange(dists.shape[0])[:, None]
@@ -411,7 +561,7 @@ def _gram_inside(
     if radius == np.inf:  # below the norm limit every kernel distance is finite
         return np.ones(s.shape, dtype=bool)
     h2 = float(radius) * float(radius)
-    band = 4.0 * (queries.shape[1] + 8) * _UNIT_ROUNDOFF * (scale + h2)
+    band = _band(queries.shape[1], scale + h2)
     inside = s <= h2 - band
     unsure = s <= h2 + band  # s is finite below the norm limit
     unsure ^= inside

@@ -25,15 +25,21 @@ every quantile, is the full scan's bit for bit (the argument is in
 
 Bandwidth selection is K-fold cross-validation of the pinball loss over a
 candidate grid drawn from the quantiles of pairwise inter-point distances.
-The kernel's pair pass gives their squares, sorted once in place; zero pairs
-are counted and skipped, and each level is interpolated, as ``np.quantile``
-does by default, between the square roots of the two order statistics
-around it, so the grid equals ``np.quantile`` of the positive distances bit
-for bit. The sample is sorted by value once; each fold keeps its points in
-that order (a stable sort's subset is the stable sort of the subset), builds
-one store of them and makes one pass of the ball step from its held-out rows
-with every candidate radius, so all candidates read the same distance or
-Gram blocks, and the kernel measures a held-out row at most once per fold.
+:func:`~qcalib.neighbors.pair_sum_order` gives the number of pairs, how
+many are 0 apart, and the kernel's squared distances at the ranks the grid
+reads: from ``neighbors._GRAM_MIN_DIM`` coordinates on, by sorting the
+pairs' Gram estimates in place and letting the kernel sum only the pairs
+within two bands of each rank's estimate, which the band proves hold the
+exact order statistic; below that, and past the Gram norm limit, by the
+kernel's pair pass sorted in place. Zero pairs are skipped, and each level
+is interpolated, as ``np.quantile`` does by default, between the square
+roots of the two order statistics around it, so the grid equals
+``np.quantile`` of the positive distances bit for bit. The sample is sorted
+by value once; each fold keeps its points in that order (a stable sort's
+subset is the stable sort of the subset), builds one store of them and makes
+one pass of the ball step from its held-out rows with every candidate
+radius, so all candidates read the same distance or Gram blocks, and the
+kernel measures a held-out row at most once per fold.
 The folds pass on their store's memory of widened blocks.
 """
 
@@ -227,10 +233,8 @@ def _grid_sample(points: np.ndarray, seed: int) -> np.ndarray:
 
 
 def _pairwise_distance_candidates(points: np.ndarray, seed: int) -> np.ndarray:
-    sums = neighbors.pair_square_sums(_grid_sample(points, seed))
-    sums.sort()
-    zeros = int(np.searchsorted(sums, 0.0, side="right"))
-    n = sums.shape[0] - zeros
+    pairs, zeros, at = neighbors.pair_sum_order(_grid_sample(points, seed))
+    n = pairs - zeros
     if n == 0:
         raise ValueError("all pairwise distances are zero; candidate grid undefined")
     # np.quantile's "linear" method over the n positive distances, whose
@@ -239,8 +243,8 @@ def _pairwise_distance_candidates(points: np.ndarray, seed: int) -> np.ndarray:
     below = np.floor(virtual)
     gamma = virtual - below
     lo = zeros + below.astype(np.intp)
-    a = np.sqrt(sums[lo])
-    b = np.sqrt(sums[np.minimum(lo + 1, sums.shape[0] - 1)])
+    roots = np.sqrt(at(np.concatenate((lo, np.minimum(lo + 1, pairs - 1)))))
+    a, b = roots[: lo.shape[0]], roots[lo.shape[0] :]
     diff = b - a
     grid = a + diff * gamma
     np.subtract(b, diff * (1 - gamma), out=grid, where=gamma >= 0.5)

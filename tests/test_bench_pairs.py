@@ -40,8 +40,26 @@ def test_wins_ties_and_direction():
     assert metrics["predict_rows_per_s"]["bound"] == 0.22
     assert entry["pairs"] == 4
     assert entry["attempted"] == {"parent": 40, "change": 37}
+    per_run = entry["attempted_per_run"]
+    assert per_run["parent"] == {"median": 10, "q1": 10, "q3": 10, "runs": [10, 10, 10, 10]}
+    assert per_run["change"] == {"median": 10, "q1": 9.25, "q3": 10, "runs": [10, 10, 10, 7]}
     assert entry["failed"] == {"parent": 0, "change": 1}
     assert entry["all_checks_passed"]
+
+
+def test_report_prints_operations_per_run_beside_the_verdicts():
+    # a faster sequence that serves fewer calls: the shrinking serve shows
+    parent = [run(1.0, 100.0, attempted=a) for a in (1400, 1500, 1240, 1510)]
+    change = [run(0.8, 100.0, attempted=a) for a in (1000, 940, 1075, 937)]
+    lines = bench_pairs.report("w", bench_pairs.summarize(END_TO_END, parent, change))
+    assert lines[0] == (
+        "w pipeline_s: gain (parent 1 [1, 1], change 0.8 [0.8, 0.8], change won 4/4)"
+    )
+    assert lines[1].startswith("w predict_rows_per_s: unchanged (")
+    assert lines[2] == (
+        "w operations attempted per run: parent 1450 [1360, 1502.5], "
+        "change 970 [939.25, 1018.75]"
+    )
 
 
 def test_one_failed_check_marks_the_workload():

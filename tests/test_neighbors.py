@@ -166,9 +166,10 @@ def test_distances_equal_numpy_sum_bitwise(monkeypatch, d):
 
 def test_each_sample_builds_one_store(tmp_path, monkeypatch):
     # a KeySortedPoints is the one layout the kernel reads: the kNN regressor
-    # and the estimator build theirs at construction, each CV fold builds one,
-    # and queries and neighborhoods build none, reading the stores they have;
-    # balls scan through the ball step on either side of the Gram dimension
+    # and the estimator build theirs at construction, the default grid one
+    # over its sample, each CV fold one, and queries and neighborhoods build
+    # none, reading the stores they have; balls scan through the ball step on
+    # either side of the Gram dimension
     built, scanned = [], []
     init = neighbors.KeySortedPoints.__init__
     scan, balls = neighbors._distance_blocks, neighbors.ball_blocks
@@ -209,8 +210,8 @@ def test_each_sample_builds_one_store(tmp_path, monkeypatch):
         assert ("norms" in vars(estimator._store)) == (d >= neighbors._GRAM_MIN_DIM)
         scanned.clear()
         bandwidth_cv_scores(features, data.target, BandwidthSearch(folds=3))
-        assert len(built) == 3
-        assert scanned == built  # one distance pass per fold, over its own store
+        assert len(built) == 4  # the grid's sample, then each fold
+        assert scanned == built[1:]  # one distance pass per fold, over its own store
         # each store holds its own contiguous coordinate rows: the kNN rows in
         # file order, the estimator's in value order
         for store in [regressor._store, estimator._store, *built]:
@@ -323,6 +324,20 @@ def test_gram_band_pairs_take_the_kernel(monkeypatch, d, offset):
         assert_ball_step_equals_full_scan(points, queries, radii, min_count, {})
     assert grams and all(g is not None for g in grams)
     assert sum(refined) > 0
+
+
+@pytest.mark.parametrize("d", [1, GRAM, 20])
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_pair_order_at_every_rank_is_the_sorted_kernel_sums(d, offset):
+    # below the Gram dimension the kernel sums and sorts every pair; from it,
+    # asking for every rank at once puts every key in a window
+    rng = np.random.default_rng(d)
+    points = rng.normal(size=(40, d)) + offset
+    points[::7] = points[0]  # six copies: 15 zero pairs among the rest
+    want = np.sort(neighbors.pair_square_sums(points))
+    pairs, zeros, at = neighbors.pair_sum_order(points)
+    assert pairs == want.shape[0] and zeros == np.count_nonzero(want == 0.0) == 15
+    assert at(np.arange(pairs)).tobytes() == want.tobytes()
 
 
 def test_huge_coordinates_take_the_kernel_and_raise_there():

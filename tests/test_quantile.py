@@ -190,6 +190,38 @@ def grid_samples(draw):
     return np.array(distinct, dtype=float)[picks] / 1000
 
 
+def gram_grid_sample(kind, d, n, seed, scale, offset):
+    """n points in d coordinates, times ``scale``, plus ``offset``: normal
+    rows; lattice rows, so every order statistic sits among ties; lattice
+    rows and copies moved by 2**-24 along one axis, whose sums sit a hair
+    above a lattice sum; or rows and copies one float apart."""
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        pts = rng.normal(size=(n, d))
+    elif kind == "lattice":
+        pts = rng.integers(-2, 3, size=(n, d)).astype(float)
+    elif kind == "moved":
+        pts = rng.integers(0, 3, size=(n - n // 2, d)).astype(float)
+        moved = pts[: n // 2].copy()
+        moved[:, 0] += 2.0**-24
+        pts = np.concatenate([pts, moved])
+    else:
+        pts = rng.normal(size=(n - n // 2, d))
+        pts = np.concatenate([pts, np.nextafter(pts[: n // 2], np.inf)])
+    return pts * scale + offset
+
+
+def worst_estimates(points, store, start, stop):
+    """Stand-in for ``neighbors._pair_estimates``: each pair's kernel sum
+    moved by 0.9 of the grid's band, up and down in turn, as far as the
+    proof lets an estimate stray."""
+    m, d = points.shape
+    sums = ((points[start:stop, None] - points[None, start + 1 :]) ** 2).sum(axis=2)
+    band = neighbors._band(d, 2.0 * store.norms.max() + neighbors._BAND_FLOOR)
+    turn = (np.arange(start, start + sums.shape[0])[:, None] + np.arange(start + 1, m)) % 2
+    return sums + np.where(turn == 0, 0.9, -0.9) * band
+
+
 class TestBandwidthSelection:
     def test_two_fold_cv_by_hand(self):
         # 4 points on a line, 2 folds, single level 0.5. With the seed-0
@@ -270,6 +302,41 @@ class TestBandwidthSelection:
             return
         expect = positive_distance_quantiles(pts)
         assert quantile._resolve_candidates(pts, search).tobytes() == expect.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.tuples(
+            st.sampled_from(["normal", "lattice", "moved", "near"]),
+            st.sampled_from([5, 8, 20]),
+            st.integers(2, 120),
+            st.integers(0, 2**32 - 1),
+            st.sampled_from([1.0, 1e-150, 1e140]),
+            st.sampled_from([0.0, 1e6]),
+        ),
+        st.booleans(),
+    )
+    # 2 000 rows hold the largest pair index; 1e151 takes the norm limit's
+    # path; the rest catch a window of one band, a band without the
+    # truncated bits, and zeros counted from the estimates, in that order
+    @example(("moved", 20, 2000, 0, 1.0, 0.0), True)
+    @example(("normal", 20, 60, 0, 1e151, 0.0), False)
+    @example(("normal", 5, 60, 0, 1.0, 1e6), True)
+    @example(("moved", 5, 60, 2, 1.0, 0.0), True)
+    @example(("near", 20, 60, 0, 1.0, 0.0), False)
+    def test_gram_grid_equals_quantiles_of_positive_distances(self, case, worst):
+        # from _GRAM_MIN_DIM coordinates the grid sorts Gram estimates and
+        # sums pairs only in windows of two bands; with ``worst``, the
+        # estimates are as far from the sums as the band allows
+        pts = gram_grid_sample(*case)
+        with pytest.MonkeyPatch.context() as mp:
+            if worst:
+                mp.setattr(neighbors, "_pair_estimates", worst_estimates)
+            if not neighbors.pair_square_sums(pts).any():  # distinct rows may underflow to 0
+                with pytest.raises(ValueError, match="pairwise distances are zero"):
+                    quantile._resolve_candidates(pts, BandwidthSearch())
+                return
+            got = quantile._resolve_candidates(pts, BandwidthSearch())
+        assert got.tobytes() == positive_distance_quantiles(pts).tobytes()
 
     @pytest.mark.parametrize("d", [2, 8, 20])
     def test_repeated_rows_leave_no_spurious_distances(self, d):

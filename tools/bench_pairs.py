@@ -19,9 +19,12 @@ FILE gets, for each workload and each end-to-end metric of
 ``BENCHMARK.json``, each side's median, quartiles and runs, the metric's
 bound, ``change_wins``, the pairs where the change read better (ties count
 for neither), and a ``verdict``; then the operations attempted and failed on
-each side, whether every check passed, the host and the command. A run that
-exits non-zero stops the tool with exit code 1 and no FILE; the temporary
-trees are removed either way.
+each side, in total and, for the attempted ones, per run (median, quartiles
+and runs, printed beside the verdicts: a benchmark whose serving loop runs
+for a share of the sequence's time attempts fewer operations when the
+sequence gets faster), whether every check passed, the host and the
+command. A run that exits non-zero stops the tool with exit code 1 and no
+FILE; the temporary trees are removed either way.
 
 The verdict, also printed one line per workload and metric, is the first of
 these that holds:
@@ -111,10 +114,34 @@ def summarize(end_to_end: list[dict], parent: list[dict], change: list[dict]) ->
         "pairs": len(parent),
         "order": "pair 1 runs the parent first, and the order alternates",
         "attempted": {"parent": sum(r["attempted"] for r in parent), "change": sum(r["attempted"] for r in change)},
+        "attempted_per_run": {
+            "parent": _side([r["attempted"] for r in parent]),
+            "change": _side([r["attempted"] for r in change]),
+        },
         "failed": failed,
         "all_checks_passed": all(run["correct"] for run in parent + change),
         "metrics": metrics,
     }
+
+
+def report(workload: str, entry: dict) -> list[str]:
+    """The printed lines of one workload's record: each metric's verdict,
+    then the operations attempted per run."""
+
+    def spread(side: dict) -> str:
+        return f"{side['median']:.6g} [{side['q1']:.6g}, {side['q3']:.6g}]"
+
+    lines = [
+        f"{workload} {name}: {m['verdict']} (parent {spread(m['parent'])}, change "
+        f"{spread(m['change'])}, change won {m['change_wins']}/{entry['pairs']})"
+        for name, m in entry["metrics"].items()
+    ]
+    ops = entry["attempted_per_run"]
+    lines.append(
+        f"{workload} operations attempted per run: parent {spread(ops['parent'])}, "
+        f"change {spread(ops['change'])}"
+    )
+    return lines
 
 
 def _git(*args: str) -> bytes:
@@ -198,14 +225,7 @@ def main(argv: list[str] | None = None) -> int:
                     label = f"{workload} pair {pair + 1}/{args.pairs} {side}"
                     results[side].append(_run(trees[side], command, label))
             entry = summarize(bench["end_to_end"], results["parent"], results["change"])
-            for name, m in entry["metrics"].items():
-                print(
-                    f"{workload} {name}: {m['verdict']} (parent {m['parent']['median']:.6g} "
-                    f"[{m['parent']['q1']:.6g}, {m['parent']['q3']:.6g}], change "
-                    f"{m['change']['median']:.6g} [{m['change']['q1']:.6g}, {m['change']['q3']:.6g}], "
-                    f"change won {m['change_wins']}/{args.pairs})",
-                    flush=True,
-                )
+            print("\n".join(report(workload, entry)), flush=True)
             record["runs"][f"{workload} seed {args.seed}"] = {
                 "workload": workload, "seed": args.seed, "trace": 0, **entry, "command": " ".join(command),
             }

@@ -30,6 +30,11 @@ with eleven nuisance columns, so the estimator's balls are 12-d and take
 their members from the Gram block: ``--bandwidth 3`` and ``auto``, each
 with ``--min-neighbors`` 1 and 3, each followed by ``predict --taus
 0.05,0.5,0.95`` on a 600-row CSV and ``evaluate --output-curve``.
+Then one OLS model at ``--bandwidth auto`` with no projection on a 4 200-row
+``sine_hetero`` CSV with five nuisance columns: its 2 100 calibration rows
+are more than the grid reads, so the default grid comes from the seeded
+2 000-row subsample, in 6 coordinates, through the Gram estimates; with
+``predict`` and ``evaluate`` as above.
 
 OUTDIR receives every file the commands write, ``commands.log`` with each
 command, its printed output and its exit code, and a sorted ``SHA256SUMS``.
@@ -80,6 +85,7 @@ D12_MODELS = {
     for h in ("3", "auto")
     for k in MIN_NEIGHBORS
 }
+GRID_MODELS = {"ols-none-hauto": ["--bandwidth", "auto"]}
 
 
 def _dataset(n: int, seed: int) -> Dataset:
@@ -162,6 +168,7 @@ def run_matrix(log: list[str]) -> None:
             "--group-column", "x1", "--group-bins", "3", "--seed", "4",
         )
     _sine_models(log, "d12", 1200, 600, 11, D12_MODELS)
+    _sine_models(log, "grid", 4200, 600, 5, GRID_MODELS)
 
 
 def _sine_models(log: list[str], prefix: str, n_train: int, n_test: int, nuisance: int, models) -> None:
